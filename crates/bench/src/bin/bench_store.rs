@@ -1,80 +1,100 @@
-//! Persistent-store and delta-maintenance benchmarks, recorded in
+//! Persistent-store and write-cost benchmarks, recorded in
 //! `BENCH_store.json` at the workspace root.
 //!
-//! Two stories are measured on the acceptance workload (the 3-atom chain
-//! `path3` at n = 2200, ~13k facts):
+//! Two stories are measured:
 //!
-//! * **save / load throughput** — encoding an [`cqa_data::UncertainDatabase`]
-//!   into the chunked dictionary-coded store format and decoding it back,
-//!   reported in facts/s and MB/s, with the round-tripped database asserted
-//!   to answer identically before anything is timed;
-//! * **delta apply vs rebuild** — the latency of refreshing the cached
-//!   [`cqa_data::DatabaseIndex`] after a single-fact insert, once via the
-//!   delta-patching path (the default) and once with the delta threshold
-//!   forced to 0 so every refresh is a from-scratch rebuild. The patched
-//!   and rebuilt databases receive the same mutation sequence and are
-//!   asserted to produce identical certain answers.
+//! * **save / load throughput** on the acceptance workload (the 3-atom
+//!   chain `path3` at n = 2200, ~13k facts) — encoding an
+//!   [`cqa_data::UncertainDatabase`] into the chunked dictionary-coded store
+//!   format and decoding it back, reported in facts/s and MB/s, with the
+//!   round-tripped database asserted to answer identically before anything
+//!   is timed;
+//! * **insert + snapshot** — one effective single-fact insert followed by
+//!   `snapshot()`, the serving writer's per-write data cost, at ~13k and
+//!   ~132k facts. Two cases per size: a write to a small relation `W`
+//!   (1000 facts) beside the untouched path3 relations, and a write to the
+//!   path3 relation `R`. Before timing, the snapshot's statistics, columnar
+//!   view and key-position indexes are built, so each timed snapshot
+//!   rebuilds them on the written segment as a served database would. Every
+//!   timed snapshot is asserted to share all the other relations' segments
+//!   with the previous one.
 //!
 //! Run with `cargo run --release -p cqa-bench --bin bench_store`
-//! (`--quick` shrinks the instance for CI smoke runs).
+//! (`--quick` shrinks the instances for CI smoke runs).
 
 use cqa_bench::{json_escape, ms, quick_flag, scaled_instance, time_min, write_bench_json};
 use cqa_core::answers::certain_answers;
 use cqa_core::solvers::{CertaintyEngine, CertaintySolver};
-use cqa_data::{store, Fact, PositionSet, UncertainDatabase};
+use cqa_data::{store, Fact, PositionSet, Schema, Snapshot, UncertainDatabase, Value};
 use cqa_query::{catalog, ConjunctiveQuery, Variable};
+use std::time::{Duration, Instant};
 
-/// A probe fact for relation `R` whose values are borrowed from an existing
-/// `T` fact: both values already occur in the active domain, so inserting or
-/// removing the probe is the steady-state single-fact delta — block lists
-/// and indexes change, the dictionary does not. (The generator namespaces
-/// tokens per relation, so the borrowed pair cannot collide with a real `R`
-/// fact — asserted on first insert.)
-fn probe_fact(db: &UncertainDatabase) -> Fact {
-    let schema = db.schema();
-    let r = schema.relation_id("R").expect("path3 has R");
-    let t = schema.relation_id("T").expect("path3 has T");
-    let donor = db
-        .index()
-        .relation_facts(t)
-        .next()
-        .expect("the generated instance has T facts")
-        .clone();
-    Fact::new(r, donor.values().to_vec())
-}
+/// Facts of the small relation `W`.
+const SMALL_FACTS: usize = 1000;
 
-/// One timed "mutate + refresh" step: toggle the probe fact (insert it if
-/// absent, remove it if present), then refresh the index — patched in place
-/// on the delta path, rebuilt from scratch with the threshold forced to 0 —
-/// and materialize every derived structure query evaluation touches
-/// (statistics, columnar view, active domain, key-position hash indexes).
-/// Materializing is what makes the two arms comparable: the delta path hands
-/// these over already patched, while a rebuild defers them to first use and
-/// must pay for them here.
-fn mutate_and_refresh(db: &mut UncertainDatabase, probe: &Fact, present: &mut bool) {
-    if *present {
-        assert!(db.remove_fact(probe), "the probe fact was present");
-    } else {
-        assert!(
-            db.insert(probe.clone())
-                .expect("probe facts are well-formed"),
-            "the probe fact must not collide with the generated instance"
-        );
+/// The path3 instance at `n` plus a small relation `W(k; v)` of
+/// [`SMALL_FACTS`] facts.
+fn with_small_relation(n: usize) -> UncertainDatabase {
+    let path3 = scaled_instance(&catalog::fo_path3().query, n, 11);
+    let mut schema = Schema::new();
+    for (_, relation) in path3.schema().iter() {
+        schema
+            .add_relation(relation.name.clone(), relation.arity(), relation.key_len())
+            .expect("path3 relations are valid");
     }
-    *present = !*present;
-    refresh(db);
+    schema.add_relation("W", 2, 1).expect("W is valid");
+    // The path3 relations keep their ids, so their facts carry over as is.
+    let mut db = UncertainDatabase::from_facts(schema.into_shared(), path3.facts().cloned())
+        .expect("path3 facts fit the extended schema");
+    for i in 0..SMALL_FACTS {
+        db.insert_values("W", [Value::int(i as i64), Value::int((i % 7) as i64)])
+            .expect("W facts are well-formed");
+    }
+    db
 }
 
-/// Refreshes the cached index and materializes the derived structures.
-fn refresh(db: &UncertainDatabase) {
-    let index = db.index();
+/// Builds what query evaluation reads on every relation: statistics, the
+/// columnar view and the key-position hash indexes.
+fn materialize(snapshot: &Snapshot) {
+    let index = snapshot.index();
     let _ = index.statistics();
     let _ = index.columnar();
-    let _ = index.active_domain();
-    for rel in db.schema().relation_ids() {
-        let key_len = db.schema().relation(rel).key_len();
+    for rel in snapshot.schema().relation_ids() {
+        let key_len = snapshot.schema().relation(rel).key_len();
         let _ = index.position_index(rel, PositionSet::from_positions(0..key_len));
     }
+}
+
+/// Median time of `runs` effective inserts of a fresh fact into `relation`
+/// (whose values are `key_base + i` and `0`), each followed by
+/// `snapshot()` while the previous snapshot is still held. The insert is
+/// undone untimed after each run.
+fn insert_snapshot(db: &mut UncertainDatabase, relation: &str, runs: usize) -> Duration {
+    let rel = db.schema().relation_id(relation).expect("relation exists");
+    let relations = db.schema().len();
+    let mut held = db.snapshot();
+    materialize(&held);
+    let mut times = Vec::with_capacity(runs);
+    for i in 0..runs {
+        let fact = Fact::new(rel, vec![Value::str(format!("fresh-{i}")), Value::int(0)]);
+        let started = Instant::now();
+        assert!(
+            db.insert(fact.clone()).expect("well-formed"),
+            "the insert is effective"
+        );
+        let next = db.snapshot();
+        times.push(started.elapsed());
+        assert_eq!(
+            next.index().shared_segments(held.index()),
+            relations - 1,
+            "the write copied a segment it did not touch"
+        );
+        assert!(db.remove_fact(&fact));
+        held = db.snapshot();
+        drop(next);
+    }
+    times.sort();
+    times[times.len() / 2]
 }
 
 fn main() {
@@ -132,43 +152,36 @@ fn main() {
         load_fps
     );
 
-    // -- delta apply vs rebuild: same single-fact mutation sequence, two
-    //    refresh policies. Warm both caches before timing so the first
-    //    timed refresh starts from a cached snapshot either way.
-    let probe = probe_fact(&db);
-    let mut patched = db.clone();
-    refresh(&patched);
-    let mut patched_present = false;
-    let delta_time = time_min(runs, || {
-        mutate_and_refresh(&mut patched, &probe, &mut patched_present)
-    });
-    let mut rebuilt = db.clone();
-    rebuilt.set_delta_threshold(Some(0));
-    refresh(&rebuilt);
-    let mut rebuilt_present = false;
-    let rebuild_time = time_min(runs, || {
-        mutate_and_refresh(&mut rebuilt, &probe, &mut rebuilt_present)
-    });
-    // Bring both databases to the same probe state, then the
-    // delta-maintained index must answer exactly like the rebuilt one.
-    if patched_present != rebuilt_present {
-        mutate_and_refresh(&mut patched, &probe, &mut patched_present);
+    // -- insert + snapshot: a small relation beside large untouched ones,
+    //    and the large relation itself, at two sizes.
+    let sizes: [usize; 2] = if quick { [150, 1500] } else { [2200, 22000] };
+    let mut rows = Vec::new();
+    for n in sizes {
+        let mut db = with_small_relation(n);
+        let large = db
+            .schema()
+            .relation_id("R")
+            .map_or(0, |r| db.relation_facts(r).count());
+        for (case, relation, facts) in [
+            ("small_beside_large", "W", SMALL_FACTS),
+            ("large", "R", large),
+        ] {
+            let median = insert_snapshot(&mut db, relation, runs);
+            eprintln!(
+                "  insert+snapshot at {:6} facts, {case:18} ({relation}: {facts:5} facts): {:8.3} ms",
+                db.fact_count(),
+                ms(median)
+            );
+            rows.push(format!(
+                "    {{ \"facts\": {}, \"case\": \"{case}\", \"relation\": \"{relation}\", \"relation_facts\": {facts}, \"median_ms\": {:.4}, \"untouched_segments_shared\": true }}",
+                db.fact_count(),
+                ms(median)
+            ));
+        }
     }
-    assert_eq!(patched.fact_count(), rebuilt.fact_count());
-    assert_eq!(
-        certain_answers(&query, &patched).expect("answerable"),
-        certain_answers(&query, &rebuilt).expect("answerable"),
-        "delta-patched index diverged from rebuild"
-    );
-    let speedup = rebuild_time.as_secs_f64() / delta_time.as_secs_f64().max(1e-9);
-    eprintln!(
-        "  single-fact refresh: delta {:9.3} ms vs rebuild {:9.3} ms ({speedup:.1}x)",
-        ms(delta_time),
-        ms(rebuild_time)
-    );
 
     let json = format!(
-        "{{\n  \"benchmark\": \"columnar store save/load + delta-apply vs index rebuild\",\n  \"generated_by\": \"cargo run --release -p cqa-bench --bin bench_store\",\n  \"quick\": {quick},\n  \"workload\": {{\n    \"name\": \"path3\",\n    \"query\": \"{}\",\n    \"facts\": {},\n    \"blocks\": {},\n    \"file_bytes\": {}\n  }},\n  \"save\": {{ \"ms\": {:.3}, \"mb_per_s\": {:.1}, \"facts_per_s\": {:.0} }},\n  \"load\": {{ \"ms\": {:.3}, \"mb_per_s\": {:.1}, \"facts_per_s\": {:.0}, \"round_trip_identical\": true }},\n  \"single_fact_refresh\": {{\n    \"delta_apply_ms\": {:.4},\n    \"rebuild_ms\": {:.4},\n    \"speedup\": {:.1},\n    \"identical_answers\": true\n  }}\n}}\n",
+        "{{\n  \"benchmark\": \"columnar store save/load + insert-and-snapshot write cost\",\n  \"generated_by\": \"cargo run --release -p cqa-bench --bin bench_store\",\n  \"quick\": {quick},\n  \"workload\": {{\n    \"name\": \"path3\",\n    \"query\": \"{}\",\n    \"facts\": {},\n    \"blocks\": {},\n    \"file_bytes\": {}\n  }},\n  \"save\": {{ \"ms\": {:.3}, \"mb_per_s\": {:.1}, \"facts_per_s\": {:.0} }},\n  \"load\": {{ \"ms\": {:.3}, \"mb_per_s\": {:.1}, \"facts_per_s\": {:.0}, \"round_trip_identical\": true }},\n  \"insert_snapshot\": [\n{}\n  ]\n}}\n",
         json_escape(&query.to_string()),
         db.fact_count(),
         db.block_count(),
@@ -179,9 +192,7 @@ fn main() {
         ms(load_time),
         load_mbps,
         load_fps,
-        ms(delta_time),
-        ms(rebuild_time),
-        speedup,
+        rows.join(",\n"),
     );
     let out = write_bench_json("BENCH_store.json", &json);
     eprintln!("wrote {}", out.display());

@@ -46,8 +46,7 @@ use std::sync::Arc;
 fn spoiler_fact(db: &UncertainDatabase) -> Fact {
     let schema = db.schema();
     let r = schema.relation_id("R").expect("path3 has R");
-    let index = db.index();
-    let donor = index
+    let donor = db
         .relation_facts(r)
         .next()
         .expect("the generated instance has R facts");
@@ -88,14 +87,14 @@ fn churn_step(db: &mut UncertainDatabase, state: &mut u64, changes: &mut ChangeS
     let schema = db.schema().clone();
     let rels: Vec<_> = schema.relation_ids().collect();
     let rel = rels[(*state >> 8) as usize % rels.len()];
-    let Some(donor) = db
-        .index()
-        .relation_facts(rel)
-        .nth((*state >> 16) as usize % db.index().relation_facts(rel).count().max(1))
-        .cloned()
-    else {
+    let index = db.index();
+    let segment = index.segment(rel);
+    if segment.fact_count() == 0 {
         return;
-    };
+    }
+    let donor = segment
+        .fact(((*state >> 16) as usize % segment.fact_count()) as u32)
+        .clone();
     match *state % 3 {
         0 => {
             let mut values = donor.key(&schema).to_vec();

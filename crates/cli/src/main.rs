@@ -463,11 +463,9 @@ fn run() -> Result<(), String> {
             }
             println!();
             println!(
-                "database: {} facts, epoch {}, {} pending delta(s), threshold {}",
+                "database: {} facts, epoch {}",
                 doc.database.fact_count(),
                 doc.database.epoch(),
-                doc.database.pending_delta_len(),
-                doc.database.delta_threshold(),
             );
             println!("metrics after answering {} query(ies):", selected.len());
             print!("{}", cqa_obs::Registry::global().snapshot().render());

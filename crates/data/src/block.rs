@@ -9,39 +9,15 @@
 //! (exclusive) events, while facts of distinct blocks are independent.
 
 use crate::{Fact, RelationId, Value};
-use std::fmt;
-
-/// A stable handle to a block inside an [`crate::UncertainDatabase`].
-///
-/// Block ids are dense per database (`0..db.block_count()`), so solvers can
-/// store per-block state in plain vectors.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
-pub struct BlockId(pub(crate) u32);
-
-impl BlockId {
-    /// Dense index of the block.
-    pub fn index(self) -> usize {
-        self.0 as usize
-    }
-
-    /// Creates a block id from a dense index (mostly useful in tests).
-    pub fn from_index(i: usize) -> Self {
-        BlockId(i as u32)
-    }
-}
-
-impl fmt::Display for BlockId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "block#{}", self.0)
-    }
-}
 
 /// A maximal set of key-equal facts.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug)]
 pub struct Block {
     relation: RelationId,
     key: Vec<Value>,
     facts: Vec<Fact>,
+    /// The relation-local fact id of each fact, in step with `facts`.
+    ids: Vec<u32>,
 }
 
 impl Block {
@@ -50,25 +26,36 @@ impl Block {
             relation,
             key,
             facts: Vec::new(),
+            ids: Vec::new(),
         }
     }
 
-    pub(crate) fn push(&mut self, fact: Fact) -> bool {
+    /// Adds a fact with local id `id`, unless present.
+    pub(crate) fn push(&mut self, fact: Fact, id: u32) -> bool {
         if self.facts.contains(&fact) {
             false
         } else {
             self.facts.push(fact);
+            self.ids.push(id);
             true
         }
     }
 
-    pub(crate) fn remove(&mut self, fact: &Fact) -> bool {
-        if let Some(pos) = self.facts.iter().position(|f| f == fact) {
-            self.facts.remove(pos);
-            true
-        } else {
-            false
-        }
+    /// Removes a fact, returning its local id if it was present.
+    pub(crate) fn remove(&mut self, fact: &Fact) -> Option<u32> {
+        let pos = self.facts.iter().position(|f| f == fact)?;
+        self.facts.remove(pos);
+        Some(self.ids.remove(pos))
+    }
+
+    /// Renumbers the fact with local id `from` to `to`.
+    pub(crate) fn renumber(&mut self, from: u32, to: u32) {
+        let slot = self
+            .ids
+            .iter_mut()
+            .find(|id| **id == from)
+            .expect("the renumbered fact is in this block");
+        *slot = to;
     }
 
     /// The relation all facts of this block belong to.
@@ -108,6 +95,16 @@ impl Block {
     }
 }
 
+/// Blocks are equal when they hold the same facts under the same key;
+/// the facts' ids in their database do not matter.
+impl PartialEq for Block {
+    fn eq(&self, other: &Self) -> bool {
+        self.relation == other.relation && self.key == other.key && self.facts == other.facts
+    }
+}
+
+impl Eq for Block {}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -119,8 +116,8 @@ mod tests {
         let r = schema.relation_id("R").unwrap();
         let mut block = Block::new(r, vec![Value::str("a")]);
         let f = Fact::new(r, vec![Value::str("a"), Value::str("b")]);
-        assert!(block.push(f.clone()));
-        assert!(!block.push(f.clone()));
+        assert!(block.push(f.clone(), 0));
+        assert!(!block.push(f.clone(), 1));
         assert_eq!(block.len(), 1);
         assert!(block.is_singleton());
         assert!(block.contains(&f));
@@ -132,9 +129,9 @@ mod tests {
         let r = schema.relation_id("R").unwrap();
         let mut block = Block::new(r, vec![Value::str("a")]);
         let f = Fact::new(r, vec![Value::str("a"), Value::str("b")]);
-        block.push(f.clone());
-        assert!(block.remove(&f));
-        assert!(!block.remove(&f));
+        block.push(f.clone(), 7);
+        assert_eq!(block.remove(&f), Some(7));
+        assert_eq!(block.remove(&f), None);
         assert!(block.is_empty());
     }
 }

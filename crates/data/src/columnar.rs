@@ -1,89 +1,146 @@
-//! Columnar (dictionary-encoded) views of a [`DatabaseIndex`] snapshot.
+//! Columnar (dictionary-encoded) views of the relation segments.
 //!
 //! The row-at-a-time executors in `cqa-exec` spend their time hashing and
 //! cloning [`Value`]s: every probe key re-hashes `Arc<str>` contents and
 //! every register write clones an `Arc`. The vectorized block-at-a-time
 //! executor instead works on **dense codes**:
 //!
-//! * a [`Dictionary`] maps the sorted active domain to dense `u32` codes
-//!   (the sort order makes code comparison order-preserving, though the
-//!   executor only needs equality);
+//! * a [`Dictionary`] maps values to dense `u32` codes. Codes are
+//!   **append-only** within a database lineage (a database, its clones and
+//!   their snapshots): a value keeps its code forever, so the code columns
+//!   of a relation nobody wrote stay valid in every later snapshot. The
+//!   executor only ever compares codes for equality, never for order;
 //! * [`RelationColumns`] stores, per relation, one `u32` column per
-//!   attribute position, with row `r` corresponding to
-//!   `DatabaseIndex::relation_fact_ids(rel)[r]` — the same dense order the
-//!   row engine iterates, so row indices are meaningful to both;
+//!   attribute position, with row `r` the relation's local fact id `r`
+//!   ([`DatabaseIndex::relation_fact_ids`]) — the same order the row
+//!   engine iterates, so row indices are meaningful to both;
 //! * a [`CodeIndex`] is a hash index over one or two columns whose probe
 //!   key is a single packed `u64` — one integer hash per batch row instead
 //!   of hashing a `Vec<Value>`.
 //!
-//! All three are materialized lazily, once per snapshot, and cached on the
-//! [`DatabaseIndex`] exactly like its [`PositionIndex`]es.
+//! Columns and code indexes are built lazily, once per relation segment,
+//! and shared by every snapshot that shares the segment.
 //!
-//! [`PositionIndex`]: crate::PositionIndex
+//! [`DatabaseIndex::relation_fact_ids`]: crate::DatabaseIndex::relation_fact_ids
 
-use crate::{DatabaseIndex, FxHashMap, RelationId, Value};
-use std::sync::Arc;
+use crate::cow::{Buckets, ChunkedVec, ShardedMap};
+use crate::{Fact, Value};
+use std::sync::{Arc, Mutex, PoisonError};
 
-/// Dense codes for the active domain of one snapshot.
+/// One frozen version of a lineage's append-only value dictionary.
 ///
-/// Codes run `0..len()` in the sort order of the underlying values. A value
-/// outside the active domain has no code; probe compilation maps such
-/// constants to an always-empty bucket (no fact can carry them).
+/// Both directions are stored copy-on-write in small pieces (chunks of the
+/// code → value table, hash shards of the value → code map), so a version
+/// is cloned in O(pieces) and interning a value copies at most one chunk
+/// and one shard that an older version still shares.
+///
+/// A code may belong to a value no fact carries any more (codes are never
+/// reused); probing for it simply finds no rows.
+#[derive(Clone)]
 pub struct Dictionary {
-    values: Arc<[Value]>,
+    values: ChunkedVec<Value>,
+    codes: ShardedMap<Value, u32>,
 }
 
 impl Dictionary {
-    fn new(values: Arc<[Value]>) -> Self {
-        Dictionary { values }
+    fn new() -> Self {
+        Dictionary {
+            values: ChunkedVec::new(),
+            codes: ShardedMap::new(),
+        }
     }
 
-    /// The code of `value`, or `None` when it is outside the active domain.
+    /// The code of `value`, or `None` when no fact of the lineage ever
+    /// carried it (then no fact of this snapshot carries it either).
     pub fn code_of(&self, value: &Value) -> Option<u32> {
-        self.values
-            .binary_search_by(|v| v.cmp(value))
-            .ok()
-            .map(|i| i as u32)
+        self.codes.get(value).copied()
     }
 
     /// The value a code decodes to.
     pub fn value(&self, code: u32) -> &Value {
-        &self.values[code as usize]
+        self.values.get(code as usize)
     }
 
-    /// Number of coded values (= active-domain size).
+    /// Number of codes assigned so far (live and dead values).
     pub fn len(&self) -> usize {
         self.values.len()
     }
 
-    /// True iff the active domain is empty.
+    /// True iff no code has been assigned.
     pub fn is_empty(&self) -> bool {
-        self.values.is_empty()
+        self.values.len() == 0
+    }
+
+    /// The code of `value`, assigning the next one if it has none.
+    fn intern(&mut self, value: &Value) -> u32 {
+        if let Some(code) = self.code_of(value) {
+            return code;
+        }
+        let code = self.values.len() as u32;
+        self.codes.insert(value.clone(), code);
+        self.values.push(value.clone());
+        code
+    }
+}
+
+/// The dictionary one database lineage interns into. Shared (by `Arc`) by
+/// a database, its clones and their snapshots, so any two of them agree
+/// on every code and can share encoded segments.
+pub(crate) struct Codebook {
+    dictionary: Mutex<Dictionary>,
+}
+
+impl Default for Codebook {
+    fn default() -> Self {
+        Codebook {
+            dictionary: Mutex::new(Dictionary::new()),
+        }
+    }
+}
+
+impl Codebook {
+    /// Encodes facts of one relation, each as its row of codes, interning
+    /// new values.
+    pub(crate) fn encode<'a>(&self, facts: impl IntoIterator<Item = &'a Fact>) -> Vec<Vec<u32>> {
+        let mut dictionary = self
+            .dictionary
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        facts
+            .into_iter()
+            .map(|fact| fact.values().iter().map(|v| dictionary.intern(v)).collect())
+            .collect()
+    }
+
+    /// The current version of the dictionary: it decodes every code any
+    /// segment of the lineage was encoded with so far.
+    pub(crate) fn view(&self) -> Dictionary {
+        self.dictionary
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .clone()
     }
 }
 
 /// The dictionary-encoded columns of one relation.
 ///
-/// `column(p)[r]` is the code of the value at position `p` of the relation's
-/// `r`-th fact, where rows follow
-/// [`DatabaseIndex::relation_fact_ids`] order — the vectorized and
-/// row-at-a-time engines agree on what "row `r`" means.
+/// `column(p)[r]` is the code of the value at position `p` of the
+/// relation's fact with local id `r`.
+#[derive(Clone)]
 pub struct RelationColumns {
     columns: Vec<Vec<u32>>,
-    rows: usize,
 }
 
 impl RelationColumns {
-    /// Assembles the columns of one relation from raw parts (the delta
-    /// patcher's constructor; `build` is the bulk path).
-    pub(crate) fn from_columns(columns: Vec<Vec<u32>>, rows: usize) -> Self {
-        debug_assert!(columns.iter().all(|c| c.len() == rows));
-        RelationColumns { columns, rows }
-    }
-
-    /// All code columns, in position order (for whole-relation remapping).
-    pub(crate) fn columns(&self) -> &[Vec<u32>] {
-        &self.columns
+    /// Columns from rows of codes, for a relation of arity `arity`.
+    pub(crate) fn from_rows(rows: Vec<Vec<u32>>, arity: usize) -> Self {
+        let mut columns = vec![Vec::with_capacity(rows.len()); arity];
+        for row in rows {
+            for (column, code) in columns.iter_mut().zip(row) {
+                column.push(code);
+            }
+        }
+        RelationColumns { columns }
     }
 
     /// The code column at one attribute position.
@@ -93,56 +150,39 @@ impl RelationColumns {
 
     /// Number of rows (= facts of the relation).
     pub fn row_count(&self) -> usize {
-        self.rows
+        self.columns.first().map_or(0, Vec::len)
+    }
+
+    /// The codes of one row, in position order.
+    pub(crate) fn row(&self, row: usize) -> Vec<u32> {
+        self.columns.iter().map(|column| column[row]).collect()
+    }
+
+    pub(crate) fn push(&mut self, codes: &[u32]) {
+        for (column, &code) in self.columns.iter_mut().zip(codes) {
+            column.push(code);
+        }
+    }
+
+    /// Removes a row; the last row takes its place.
+    pub(crate) fn swap_remove(&mut self, row: usize) {
+        for column in &mut self.columns {
+            column.swap_remove(row);
+        }
     }
 }
 
-/// The columnar view of a whole snapshot: the dictionary plus one
-/// [`RelationColumns`] per relation.
-///
-/// Per-relation columns sit behind an `Arc` so that
-/// [`crate::DatabaseIndex::apply_delta`] can carry the columns of untouched
-/// relations into the next snapshot in O(1) instead of copying them.
+/// The columnar view of a whole snapshot: a dictionary version plus one
+/// [`RelationColumns`] per relation (shared with the relation segments).
 pub struct Columnar {
     dictionary: Dictionary,
     relations: Vec<Arc<RelationColumns>>,
 }
 
 impl Columnar {
-    pub(crate) fn build(index: &DatabaseIndex) -> Self {
-        let dictionary = Dictionary::new(index.active_domain_shared());
-        let relations = (0..index.relation_count())
-            .map(|rel| {
-                let rel = RelationId::from_index(rel);
-                let fact_ids = index.relation_fact_ids(rel);
-                let arity = index.arity(rel);
-                let mut columns = vec![Vec::with_capacity(fact_ids.len()); arity];
-                for &fid in fact_ids {
-                    let fact = index.fact(crate::FactId(fid));
-                    for (pos, value) in fact.values().iter().enumerate() {
-                        let code = dictionary
-                            .code_of(value)
-                            .expect("every fact value is in the active domain");
-                        columns[pos].push(code);
-                    }
-                }
-                Arc::new(RelationColumns {
-                    columns,
-                    rows: fact_ids.len(),
-                })
-            })
-            .collect();
+    pub(crate) fn new(dictionary: Dictionary, relations: Vec<Arc<RelationColumns>>) -> Self {
         Columnar {
             dictionary,
-            relations,
-        }
-    }
-
-    /// Assembles a columnar view from a dictionary value array and per-relation
-    /// columns (the delta patcher's constructor).
-    pub(crate) fn from_parts(values: Arc<[Value]>, relations: Vec<Arc<RelationColumns>>) -> Self {
-        Columnar {
-            dictionary: Dictionary::new(values),
             relations,
         }
     }
@@ -153,32 +193,20 @@ impl Columnar {
     }
 
     /// The code columns of one relation.
-    pub fn relation(&self, relation: RelationId) -> &RelationColumns {
+    pub fn relation(&self, relation: crate::RelationId) -> &RelationColumns {
         &self.relations[relation.index()]
-    }
-
-    /// Shared handle to the code columns of one relation (O(1) carry-over of
-    /// untouched relations across snapshots).
-    pub(crate) fn relation_arc(&self, relation: RelationId) -> Arc<RelationColumns> {
-        self.relations[relation.index()].clone()
-    }
-
-    /// The dictionary's value array (shared with the active domain).
-    pub(crate) fn dictionary_values(&self) -> &Arc<[Value]> {
-        &self.dictionary.values
     }
 }
 
 /// A hash index of one relation over the packed codes of one or two
 /// positions: the vectorized counterpart of [`crate::PositionIndex`].
 ///
-/// Buckets hold **row indices** (into [`RelationColumns`] order, which is
-/// also [`DatabaseIndex::relation_fact_ids`] order), ascending — so a bucket
+/// Buckets hold **row indices** (local fact ids), ascending — so a bucket
 /// enumerates candidates in exactly the order the row engine would.
+#[derive(Clone)]
 pub struct CodeIndex {
     positions: Vec<usize>,
-    buckets: FxHashMap<u64, (u32, u32)>,
-    rows: Vec<u32>,
+    buckets: Buckets<u64>,
 }
 
 impl CodeIndex {
@@ -192,36 +220,29 @@ impl CodeIndex {
         }
     }
 
-    fn build(columns: &RelationColumns, positions: &[usize]) -> Self {
+    pub(crate) fn build(columns: &RelationColumns, positions: &[usize]) -> Self {
         assert!(
             matches!(positions.len(), 1 | 2),
             "CodeIndex keys cover one or two positions"
         );
-        let mut grouped: FxHashMap<u64, Vec<u32>> = FxHashMap::default();
-        for row in 0..columns.row_count() {
-            let key = match positions {
-                [p] => columns.column(*p)[row] as u64,
-                [p, q] => ((columns.column(*p)[row] as u64) << 32) | columns.column(*q)[row] as u64,
-                _ => unreachable!("length asserted above"),
-            };
-            grouped.entry(key).or_default().push(row as u32);
-        }
-        // Deterministic dense layout: buckets laid out in ascending key
-        // order (irrelevant to results, stable for debugging).
-        let mut keys: Vec<u64> = grouped.keys().copied().collect();
-        keys.sort_unstable();
-        let mut rows = Vec::with_capacity(columns.row_count());
-        let mut buckets = FxHashMap::default();
-        for key in keys {
-            let ids = &grouped[&key];
-            buckets.insert(key, (rows.len() as u32, ids.len() as u32));
-            rows.extend_from_slice(ids);
-        }
+        let key = |row: usize| {
+            let codes: Vec<u32> = positions.iter().map(|&p| columns.column(p)[row]).collect();
+            CodeIndex::pack(&codes)
+        };
         CodeIndex {
             positions: positions.to_vec(),
-            buckets,
-            rows,
+            buckets: Buckets::group((0..columns.row_count()).map(|row| (key(row), row as u32))),
         }
+    }
+
+    /// The probe word of a row given its codes in position order.
+    pub(crate) fn key(&self, row: &[u32]) -> u64 {
+        let codes: Vec<u32> = self.positions.iter().map(|&p| row[p]).collect();
+        CodeIndex::pack(&codes)
+    }
+
+    pub(crate) fn buckets_mut(&mut self) -> &mut Buckets<u64> {
+        &mut self.buckets
     }
 
     /// The indexed positions, ascending (one or two of them).
@@ -232,24 +253,13 @@ impl CodeIndex {
     /// The row indices whose packed key equals `key`, ascending. Missing
     /// keys give `&[]`.
     pub fn candidates(&self, key: u64) -> &[u32] {
-        match self.buckets.get(&key) {
-            Some(&(start, len)) => &self.rows[start as usize..(start + len) as usize],
-            None => &[],
-        }
+        self.buckets.get(&key).map_or(&[], |ids| ids)
     }
 
     /// Number of distinct keys.
     pub fn key_count(&self) -> usize {
         self.buckets.len()
     }
-}
-
-pub(crate) fn build_code_index(
-    columnar: &Columnar,
-    relation: RelationId,
-    positions: &[usize],
-) -> CodeIndex {
-    CodeIndex::build(columnar.relation(relation), positions)
 }
 
 #[cfg(test)]
@@ -272,18 +282,55 @@ mod tests {
     }
 
     #[test]
-    fn dictionary_codes_round_trip_and_follow_sort_order() {
+    fn dictionary_codes_round_trip() {
         let db = db();
         let index = db.index();
         let dict = index.columnar().dictionary();
         assert_eq!(dict.len(), index.active_domain().len());
         assert!(!dict.is_empty());
-        for (i, value) in index.active_domain().iter().enumerate() {
+        for value in index.active_domain() {
             let code = dict.code_of(value).unwrap();
-            assert_eq!(code as usize, i);
             assert_eq!(dict.value(code), value);
         }
         assert_eq!(dict.code_of(&Value::str("not-there")), None);
+    }
+
+    #[test]
+    fn codes_are_append_only_across_writes() {
+        let mut db = db();
+        let before = db.snapshot();
+        let rome = before
+            .index()
+            .columnar()
+            .dictionary()
+            .code_of(&Value::str("Rome"))
+            .unwrap();
+        // Removing every Rome fact and adding a new value keeps Rome's code
+        // (dead, matching no row) and appends the new one.
+        let c = db.schema().relation_id("C").unwrap();
+        db.retain_facts(|f| f.relation() != c || f.value(2) != &Value::str("Rome"));
+        db.insert_values("R", ["ICDT", "C"]).unwrap();
+        let after = db.snapshot();
+        let dict = after.index().columnar().dictionary();
+        assert_eq!(dict.code_of(&Value::str("Rome")), Some(rome));
+        assert!(dict.code_of(&Value::str("ICDT")).unwrap() as usize >= 8);
+        assert!(!after.index().active_domain().contains(&Value::str("Rome")));
+        // The old snapshot still decodes with its own version.
+        assert_eq!(before.index().columnar().dictionary().len(), 8);
+    }
+
+    #[test]
+    fn versions_are_frozen() {
+        let mut dict = Dictionary::new();
+        for i in 0..5000 {
+            assert_eq!(dict.intern(&Value::int(i)), i as u32);
+        }
+        let frozen = dict.clone();
+        dict.intern(&Value::str("late"));
+        assert_eq!(frozen.code_of(&Value::str("late")), None);
+        assert_eq!(dict.code_of(&Value::int(4003)), Some(4003));
+        assert_eq!(frozen.value(1027), &Value::int(1027));
+        assert_eq!(dict.value(dict.len() as u32 - 1), &Value::str("late"));
     }
 
     #[test]
@@ -296,10 +343,11 @@ mod tests {
             let cols = columnar.relation(rel);
             let fact_ids = index.relation_fact_ids(rel);
             assert_eq!(cols.row_count(), fact_ids.len());
-            for (row, &fid) in fact_ids.iter().enumerate() {
-                let fact = index.fact(crate::FactId::from_index(fid as usize));
+            for &fid in fact_ids {
+                let fact = index.fact(rel, fid);
+                let fid = fid as usize;
                 for (pos, value) in fact.values().iter().enumerate() {
-                    assert_eq!(dict.value(cols.column(pos)[row]), value);
+                    assert_eq!(dict.value(cols.column(pos)[fid]), value);
                 }
             }
         }
@@ -316,11 +364,9 @@ mod tests {
         let rome = dict.code_of(&Value::str("Rome")).unwrap();
         let hits = by_city.candidates(CodeIndex::pack(&[rome]));
         assert_eq!(hits.len(), 2);
-        // Rows map back to the same facts the row engine's index finds.
+        // Rows are local fact ids: the same ones the row engine's index finds.
         let reference = index.position_index(c, crate::PositionSet::single(2));
-        let fact_ids = index.relation_fact_ids(c);
-        let via_codes: Vec<u32> = hits.iter().map(|&r| fact_ids[r as usize]).collect();
-        assert_eq!(via_codes, reference.candidates(&[Value::str("Rome")]));
+        assert_eq!(hits, reference.candidates(&[Value::str("Rome")]));
         // Two-position key.
         let pair = index.code_index(c, &[0, 2]);
         assert_eq!(pair.positions(), &[0, 2]);

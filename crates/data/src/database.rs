@@ -1,21 +1,11 @@
 //! Uncertain databases and their block structure.
 
-use crate::delta::{delta_threshold, ChangeSet, Delta};
 use crate::index::DatabaseIndex;
-use crate::{Block, BlockId, DataError, Fact, FxHashMap, RelationId, RepairIter, Schema, Value};
+use crate::segment::Slot;
+use crate::{Block, DataError, Fact, RelationId, RepairIter, Schema, Value};
 use std::collections::BTreeSet;
 use std::fmt;
-use std::sync::{Arc, PoisonError, RwLock};
-
-/// The cached index snapshot plus the mutations recorded since it was built.
-///
-/// Invariant: `pending` is non-empty only while `snapshot` is `Some` — with
-/// no snapshot to patch there is nothing to log against.
-#[derive(Default)]
-struct IndexCacheState {
-    snapshot: Option<Arc<DatabaseIndex>>,
-    pending: ChangeSet,
-}
+use std::sync::Arc;
 
 /// An **uncertain database**: a finite set of facts over a fixed schema in
 /// which primary keys need not be satisfied (Section 3 of the paper).
@@ -24,8 +14,13 @@ struct IndexCacheState {
 /// belongs to exactly one [`Block`] (the maximal set of key-equal facts), and
 /// a repair is obtained by picking one fact from every block.
 ///
+/// The facts live in one `Arc`-shared segment per relation (see
+/// [`DatabaseIndex`]): cloning a database, freezing a
+/// [`crate::Snapshot`] or asking for its [`DatabaseIndex`] clones
+/// `Arc`s, and a write copies only the segment of the relation it touches.
+///
 /// ```
-/// use cqa_data::{Schema, UncertainDatabase, Value};
+/// use cqa_data::{Schema, UncertainDatabase};
 ///
 /// let schema = Schema::from_relations([("C", 3, 2), ("R", 2, 1)]).unwrap().into_shared();
 /// let mut db = UncertainDatabase::new(schema);
@@ -41,117 +36,28 @@ struct IndexCacheState {
 /// assert!(!db.is_consistent());
 /// assert_eq!(db.repair_count(), Some(4)); // Figure 1: four repairs
 /// ```
+#[derive(Clone)]
 pub struct UncertainDatabase {
     schema: Arc<Schema>,
-    blocks: Vec<Block>,
-    /// Maps (relation, key) to the dense index of the owning block.
-    index: FxHashMap<(RelationId, Vec<Value>), usize>,
-    fact_count: usize,
-    /// Cached secondary-index snapshot plus the pending delta log; the
-    /// snapshot is patched (not rebuilt) while the log stays small.
-    ///
-    /// An `RwLock` rather than a `Mutex`: concurrent readers of a warm cache
-    /// never contend, and every access recovers from poisoning (the cached
-    /// state is always consistent, so a reader that panicked while holding
-    /// the lock must not wedge later calls).
-    index_cache: RwLock<IndexCacheState>,
+    index: Arc<DatabaseIndex>,
     /// Bumped on every effective mutation; see [`UncertainDatabase::epoch`].
     epoch: u64,
-    /// Per-database override of the delta-volume fallback threshold.
-    delta_threshold: Option<usize>,
-}
-
-impl Clone for UncertainDatabase {
-    fn clone(&self) -> Self {
-        // The clone has identical contents, so it can share the cached
-        // snapshot and its pending delta log; each copy's own mutations
-        // from here on touch only its own cache state.
-        let state = self
-            .index_cache
-            .read()
-            .unwrap_or_else(PoisonError::into_inner);
-        let cached = IndexCacheState {
-            snapshot: state.snapshot.clone(),
-            pending: state.pending.clone(),
-        };
-        drop(state);
-        UncertainDatabase {
-            schema: self.schema.clone(),
-            blocks: self.blocks.clone(),
-            index: self.index.clone(),
-            fact_count: self.fact_count,
-            index_cache: RwLock::new(cached),
-            epoch: self.epoch,
-            delta_threshold: self.delta_threshold,
-        }
-    }
 }
 
 impl UncertainDatabase {
     /// Creates an empty database over the given schema.
     pub fn new(schema: Arc<Schema>) -> Self {
         UncertainDatabase {
+            index: Arc::new(DatabaseIndex::empty(&schema)),
             schema,
-            blocks: Vec::new(),
-            index: FxHashMap::default(),
-            fact_count: 0,
-            index_cache: RwLock::new(IndexCacheState::default()),
             epoch: 0,
-            delta_threshold: None,
         }
     }
 
-    /// The secondary-index snapshot of the current contents (see
-    /// [`DatabaseIndex`]).
-    ///
-    /// Built on first use and cached. Small mutations do not discard the
-    /// cache: they are logged as a [`crate::ChangeSet`] and the next call
-    /// **patches** the previous snapshot via [`DatabaseIndex::apply_delta`]
-    /// (counted as `data.index.delta_applied`). Only past the
-    /// [delta-volume threshold](UncertainDatabase::set_delta_threshold) does
-    /// the cache fall back to a full rebuild.
+    /// The indexed view of the current contents (see [`DatabaseIndex`]):
+    /// an `Arc` clone of the database's own storage.
     pub fn index(&self) -> Arc<DatabaseIndex> {
-        {
-            let state = self
-                .index_cache
-                .read()
-                .unwrap_or_else(PoisonError::into_inner);
-            if let Some(snapshot) = &state.snapshot {
-                if state.pending.is_empty() {
-                    cqa_obs::count!("data.index.cache.hit");
-                    return snapshot.clone();
-                }
-            }
-        }
-        let mut state = self
-            .index_cache
-            .write()
-            .unwrap_or_else(PoisonError::into_inner);
-        // Re-check under the write lock: another thread may have patched or
-        // built the snapshot while this one waited.
-        if let Some(snapshot) = &state.snapshot {
-            if state.pending.is_empty() {
-                cqa_obs::count!("data.index.cache.hit");
-                return snapshot.clone();
-            }
-            // Patch the previous snapshot with the pending delta log. The
-            // threshold is enforced at record time, so a non-empty log here
-            // is always within budget.
-            cqa_obs::count!("data.index.delta_applied");
-            let started = std::time::Instant::now();
-            let patched = Arc::new(snapshot.apply_delta(self, &state.pending));
-            cqa_obs::observe_duration!("data.index.delta_apply_nanos", started.elapsed());
-            state.snapshot = Some(patched.clone());
-            state.pending.clear();
-            return patched;
-        }
-        cqa_obs::count!("data.index.cache.miss");
-        let started = std::time::Instant::now();
-        let snapshot = Arc::new(DatabaseIndex::build(self));
-        cqa_obs::observe_duration!("data.index.build_nanos", started.elapsed());
-        state.snapshot = Some(snapshot.clone());
-        state.pending.clear();
-        snapshot
+        self.index.clone()
     }
 
     /// The mutation epoch: a counter bumped by every *effective* mutation
@@ -164,61 +70,22 @@ impl UncertainDatabase {
         self.epoch
     }
 
-    /// Overrides the delta-volume threshold beyond which mutations drop the
-    /// cached index (forcing a full rebuild) instead of growing the delta
-    /// log. `None` restores the process default
-    /// ([`crate::delta::delta_threshold`], env-tunable via
-    /// `CQA_DELTA_THRESHOLD`). A threshold of `0` disables patching
-    /// entirely — every mutation invalidates, the pre-delta behavior.
-    pub fn set_delta_threshold(&mut self, threshold: Option<usize>) {
-        self.delta_threshold = threshold;
-    }
-
-    /// The effective delta-volume threshold of this database.
-    pub fn delta_threshold(&self) -> usize {
-        self.delta_threshold.unwrap_or_else(delta_threshold)
-    }
-
-    /// Number of mutations logged against the cached index snapshot (zero
-    /// when the cache is cold, current, or was dropped past the threshold).
-    pub fn pending_delta_len(&self) -> usize {
-        self.index_cache
-            .read()
-            .unwrap_or_else(PoisonError::into_inner)
-            .pending
-            .len()
-    }
-
-    /// Logs one effective mutation: bumps the epoch and, when a cached
-    /// snapshot exists, either appends to its delta log or — past the
-    /// threshold — drops the cache so the next [`UncertainDatabase::index`]
-    /// call rebuilds from scratch.
-    fn record(&mut self, delta: Delta) {
-        self.epoch += 1;
-        let threshold = self.delta_threshold();
-        let state = self
-            .index_cache
-            .get_mut()
-            .unwrap_or_else(PoisonError::into_inner);
-        if state.snapshot.is_none() {
-            debug_assert!(state.pending.is_empty());
-            return;
-        }
-        state.pending.record(delta);
-        if state.pending.len() > threshold {
-            state.snapshot = None;
-            state.pending.clear();
-            cqa_obs::count!("data.index.invalidated");
-            cqa_obs::count!("data.index.delta_fallback_rebuild");
-        }
-    }
-
     /// Freezes the current contents into a [`crate::Snapshot`]: an owned,
     /// immutable, `Send + Sync` handle carrying both the data and its
     /// [`DatabaseIndex`], for sharing with worker threads while this
     /// database keeps mutating.
     pub fn snapshot(&self) -> crate::Snapshot {
         crate::Snapshot::new(self)
+    }
+
+    /// The index for an effective write: copied (its segment handles) if
+    /// a snapshot or clone shares it. Bumps the epoch.
+    fn write(&mut self) -> &mut DatabaseIndex {
+        self.epoch += 1;
+        if Arc::get_mut(&mut self.index).is_none() {
+            self.index = Arc::new(self.index.fork());
+        }
+        Arc::get_mut(&mut self.index).expect("the index was just made unique")
     }
 
     /// Builds a database from an iterator of facts.
@@ -249,29 +116,14 @@ impl UncertainDatabase {
                 actual: fact.arity(),
             });
         }
-        let key: Vec<Value> = fact.key(&self.schema).to_vec();
-        let entry = (fact.relation(), key);
-        let block_idx = match self.index.get(&entry) {
-            Some(&i) => i,
-            None => {
-                let i = self.blocks.len();
-                self.blocks
-                    .push(Block::new(fact.relation(), entry.1.clone()));
-                self.index.insert(entry, i);
-                i
-            }
-        };
-        // Clone before pushing (an `Arc` bump) so the delta log shares the
-        // stored fact's allocation — `apply_delta` matches facts by it.
-        let recorded = fact.clone();
-        let inserted = self.blocks[block_idx].push(fact);
-        if inserted {
-            self.fact_count += 1;
-            self.record(Delta::Inserted(recorded));
+        // Re-inserting a present fact is a pure no-op: no segment is
+        // copied and the epoch does not move.
+        let slot = self.index.segment(fact.relation()).slot(&fact);
+        if matches!(slot, Slot::Stored) {
+            return Ok(false);
         }
-        // Re-inserting a present fact is a pure no-op: the cached index
-        // stays warm and the epoch does not move.
-        Ok(inserted)
+        self.write().insert(fact, slot);
+        Ok(true)
     }
 
     /// Convenience insertion by relation name and values.
@@ -287,70 +139,48 @@ impl UncertainDatabase {
 
     /// Total number of facts.
     pub fn fact_count(&self) -> usize {
-        self.fact_count
+        self.index.fact_count()
     }
 
     /// True iff the database contains no facts.
     pub fn is_empty(&self) -> bool {
-        self.fact_count == 0
+        self.fact_count() == 0
     }
 
     /// Number of blocks.
     pub fn block_count(&self) -> usize {
-        self.blocks.len()
+        self.index.segments().iter().map(|s| s.block_count()).sum()
     }
 
     /// Iterates over all facts.
     pub fn facts(&self) -> impl Iterator<Item = &Fact> {
-        self.blocks.iter().flat_map(|b| b.facts().iter())
+        self.blocks().flat_map(|b| b.facts().iter())
     }
 
     /// Iterates over all facts of one relation.
     pub fn relation_facts(&self, relation: RelationId) -> impl Iterator<Item = &Fact> {
-        self.blocks
-            .iter()
-            .filter(move |b| b.relation() == relation)
-            .flat_map(|b| b.facts().iter())
+        self.blocks_of(relation).flat_map(|b| b.facts().iter())
     }
 
-    /// Iterates over all blocks.
+    /// Iterates over all blocks, relation by relation.
     pub fn blocks(&self) -> impl Iterator<Item = &Block> {
-        self.blocks.iter()
-    }
-
-    /// Iterates over `(BlockId, &Block)` pairs.
-    ///
-    /// Block ids are dense indices that remain valid until the database is
-    /// mutated (insertions may add blocks, removals may reorder them).
-    pub fn blocks_with_ids(&self) -> impl Iterator<Item = (BlockId, &Block)> {
-        self.blocks
-            .iter()
-            .enumerate()
-            .map(|(i, b)| (BlockId(i as u32), b))
+        self.index.segments().iter().flat_map(|s| s.blocks())
     }
 
     /// Iterates over the blocks of one relation.
     pub fn blocks_of(&self, relation: RelationId) -> impl Iterator<Item = &Block> {
-        self.blocks.iter().filter(move |b| b.relation() == relation)
-    }
-
-    /// Returns a block by id.
-    pub fn block(&self, id: BlockId) -> &Block {
-        &self.blocks[id.index()]
+        self.index.segment(relation).blocks()
     }
 
     /// Returns the block (`block(A, db)` in the paper) containing a fact, if present.
     pub fn block_of(&self, fact: &Fact) -> Option<&Block> {
-        let key = (fact.relation(), fact.key(&self.schema).to_vec());
-        let idx = *self.index.get(&key)?;
-        let block = &self.blocks[idx];
+        let block = self.block_with_key(fact.relation(), fact.key(&self.schema))?;
         block.contains(fact).then_some(block)
     }
 
     /// Returns the block with the given relation and key value, if any.
     pub fn block_with_key(&self, relation: RelationId, key: &[Value]) -> Option<&Block> {
-        let idx = *self.index.get(&(relation, key.to_vec()))?;
-        Some(&self.blocks[idx])
+        self.index.segment(relation).block_with_key(key)
     }
 
     /// True iff the fact is present.
@@ -360,7 +190,7 @@ impl UncertainDatabase {
 
     /// Consistency (Section 3): every block is a singleton.
     pub fn is_consistent(&self) -> bool {
-        self.blocks.iter().all(Block::is_singleton)
+        self.blocks().all(Block::is_singleton)
     }
 
     /// The active domain: every constant appearing in some fact.
@@ -374,7 +204,7 @@ impl UncertainDatabase {
     /// Returns `None` if the product overflows `u128`.
     pub fn repair_count(&self) -> Option<u128> {
         let mut count: u128 = 1;
-        for b in &self.blocks {
+        for b in self.blocks() {
             count = count.checked_mul(b.len() as u128)?;
         }
         Some(count)
@@ -383,7 +213,7 @@ impl UncertainDatabase {
     /// Base-2 logarithm of the number of repairs (useful for reporting the
     /// size of the repair space when it overflows `u128`).
     pub fn repair_count_log2(&self) -> f64 {
-        self.blocks.iter().map(|b| (b.len() as f64).log2()).sum()
+        self.blocks().map(|b| (b.len() as f64).log2()).sum()
     }
 
     /// Iterates over **all repairs** of the database.
@@ -402,7 +232,7 @@ impl UncertainDatabase {
     where
         F: FnMut(&Block) -> usize,
     {
-        let facts = self.blocks.iter().map(|b| {
+        let facts = self.blocks().map(|b| {
             let i = choose(b).min(b.len().saturating_sub(1));
             b.facts()[i].clone()
         });
@@ -413,64 +243,24 @@ impl UncertainDatabase {
     /// Removes the entire block containing `fact` (used by purification,
     /// Lemma 1). Returns `true` if a block was removed.
     pub fn remove_block_of(&mut self, fact: &Fact) -> bool {
-        let key = (fact.relation(), fact.key(&self.schema).to_vec());
-        let Some(&idx) = self.index.get(&key) else {
+        let key = fact.key(&self.schema);
+        if self.block_with_key(fact.relation(), key).is_none() {
             return false;
-        };
-        self.remove_block_at(idx);
+        }
+        self.write().remove_block(fact.relation(), key);
         true
     }
 
     /// Removes a single fact; if its block becomes empty the block disappears.
     /// Returns `true` if the fact was present.
     pub fn remove_fact(&mut self, fact: &Fact) -> bool {
-        let key = (fact.relation(), fact.key(&self.schema).to_vec());
-        let Some(&idx) = self.index.get(&key) else {
-            return false;
-        };
-        if !self.blocks[idx].remove(fact) {
-            // The key exists but the fact does not: a no-op that leaves the
-            // cached index, the delta log and the epoch untouched.
+        // Removing an absent fact is a no-op that copies nothing and leaves
+        // the epoch untouched.
+        if !self.contains(fact) {
             return false;
         }
-        self.fact_count -= 1;
-        let emptied = self.blocks[idx].is_empty();
-        if emptied {
-            self.detach_block_at(idx);
-        }
-        self.record(Delta::Removed {
-            fact: fact.clone(),
-            emptied_block: emptied,
-        });
+        self.write().remove_fact(fact);
         true
-    }
-
-    fn remove_block_at(&mut self, idx: usize) {
-        let doomed: Vec<Fact> = self.blocks[idx].facts().to_vec();
-        self.fact_count -= doomed.len();
-        self.detach_block_at(idx);
-        for fact in doomed {
-            self.record(Delta::Removed {
-                fact,
-                emptied_block: true,
-            });
-        }
-    }
-
-    /// Detaches the block at `idx` from the block list and the key index by
-    /// `swap_remove` (the block that was last takes over slot `idx`, so
-    /// block ids are **reordered**). Fact counting and delta recording are
-    /// the caller's job.
-    fn detach_block_at(&mut self, idx: usize) {
-        let removed = self.blocks.swap_remove(idx);
-        self.index
-            .remove(&(removed.relation(), removed.key().to_vec()));
-        if idx < self.blocks.len() {
-            // Fix the index entry of the block that was swapped into `idx`.
-            let moved = &self.blocks[idx];
-            self.index
-                .insert((moved.relation(), moved.key().to_vec()), idx);
-        }
     }
 
     /// Keeps only the facts satisfying the predicate.
@@ -529,7 +319,7 @@ impl UncertainDatabase {
 impl PartialEq for UncertainDatabase {
     fn eq(&self, other: &Self) -> bool {
         *self.schema == *other.schema
-            && self.fact_count == other.fact_count
+            && self.fact_count() == other.fact_count()
             && self.facts().all(|f| other.contains(f))
     }
 }
@@ -538,7 +328,7 @@ impl Eq for UncertainDatabase {}
 
 impl fmt::Debug for UncertainDatabase {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "UncertainDatabase({} facts)", self.fact_count)
+        write!(f, "UncertainDatabase({} facts)", self.fact_count())
     }
 }
 
@@ -607,10 +397,9 @@ mod tests {
         assert!(!db.remove_fact(&Fact::new(r, vec![Value::str("ICDT"), Value::str("A")])));
         // Removing the block of a fact whose key has no block.
         assert!(!db.remove_block_of(&Fact::new(r, vec![Value::str("ICDT"), Value::str("A")])));
-        // None of the above dirtied the cache or moved the epoch.
+        // None of the above copied a segment or moved the epoch.
         assert!(Arc::ptr_eq(&warm, &db.index()));
         assert_eq!(db.epoch(), epoch);
-        assert_eq!(db.pending_delta_len(), 0);
     }
 
     #[test]
@@ -746,11 +535,9 @@ mod tests {
             let handles: Vec<_> = (0..8).map(|_| scope.spawn(|| db.index())).collect();
             handles.into_iter().map(|h| h.join().unwrap()).collect()
         });
-        // Everyone observes the same facts; at most one build won the race,
-        // and the cache serves that snapshot from then on.
-        assert!(snapshots.iter().all(|s| s.fact_count() == 6));
+        // The index is the database's own storage: everyone gets the same.
         let cached = db.index();
-        assert!(snapshots.iter().any(|s| Arc::ptr_eq(s, &cached)));
+        assert!(snapshots.iter().all(|s| Arc::ptr_eq(s, &cached)));
     }
 
     #[test]

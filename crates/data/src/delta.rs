@@ -1,57 +1,16 @@
-//! Mutation deltas: the change log that makes index maintenance incremental.
+//! Mutation deltas: the change log incremental consumers repair from.
 //!
-//! Every mutation of an [`UncertainDatabase`] that actually changes the fact
-//! set is recorded as a [`Delta`] in the database's pending [`ChangeSet`] —
-//! but only while a cached [`DatabaseIndex`] snapshot exists, because the log
-//! has exactly one consumer: [`DatabaseIndex::apply_delta`], which patches
-//! the previous snapshot (fact lists, block lists, hash buckets, statistics,
-//! active domain, columnar view) instead of rebuilding it from scratch.
-//!
-//! The log is bounded: past a configurable **delta-volume threshold** the
-//! cached snapshot is dropped and the next [`UncertainDatabase::index`] call
-//! performs a full rebuild (counted as `data.index.delta_fallback_rebuild`).
-//! Patching wins when the change is small relative to the database — the
-//! serving-under-writes case — while bulk rewrites (purification, `retain`)
-//! quickly trip the threshold and fall back to the one rebuild they would
-//! have paid anyway.
+//! A writer that keeps derived state in step with an [`UncertainDatabase`]
+//! — the materialized views of `cqa-stream`, maintained by the server's
+//! writer — records every mutation that actually changed the fact set as a
+//! [`Delta`] in a [`ChangeSet`] and hands the net effect to the consumer.
+//! The database itself needs no log: a write copies only the segment of the
+//! relation it touches (see [`DatabaseIndex`]).
 //!
 //! [`UncertainDatabase`]: crate::UncertainDatabase
-//! [`UncertainDatabase::index`]: crate::UncertainDatabase::index
 //! [`DatabaseIndex`]: crate::DatabaseIndex
-//! [`DatabaseIndex::apply_delta`]: crate::DatabaseIndex::apply_delta
 
 use crate::Fact;
-use std::sync::OnceLock;
-
-/// Default delta-volume threshold: pending changesets larger than this drop
-/// the cached index instead of patching it. Overridable per database via
-/// [`UncertainDatabase::set_delta_threshold`] and process-wide via the
-/// `CQA_DELTA_THRESHOLD` environment variable.
-///
-/// [`UncertainDatabase::set_delta_threshold`]: crate::UncertainDatabase::set_delta_threshold
-pub const DEFAULT_DELTA_THRESHOLD: usize = 256;
-
-/// The process-wide delta threshold: `CQA_DELTA_THRESHOLD` when set and
-/// valid (parsed once), [`DEFAULT_DELTA_THRESHOLD`] otherwise. Invalid
-/// values are reported loudly on stderr and counted as `config.env.invalid`,
-/// matching the `cqa-exec` tuning knobs.
-pub fn delta_threshold() -> usize {
-    static CELL: OnceLock<usize> = OnceLock::new();
-    *CELL.get_or_init(|| match std::env::var("CQA_DELTA_THRESHOLD") {
-        Ok(raw) => match raw.trim().parse::<usize>() {
-            Ok(value) => value,
-            Err(_) => {
-                eprintln!(
-                    "warning: ignoring invalid CQA_DELTA_THRESHOLD={raw:?} \
-                     (expected a non-negative integer); using {DEFAULT_DELTA_THRESHOLD}"
-                );
-                cqa_obs::count!("config.env.invalid");
-                DEFAULT_DELTA_THRESHOLD
-            }
-        },
-        Err(_) => DEFAULT_DELTA_THRESHOLD,
-    })
-}
 
 /// One recorded mutation of an [`UncertainDatabase`].
 ///
@@ -64,30 +23,22 @@ pub enum Delta {
     Removed {
         /// The removed fact.
         fact: Fact,
-        /// True iff the removal emptied the fact's block, which removes the
-        /// block by `swap_remove` and therefore **reorders block ids** —
-        /// the structural event that forces [`DatabaseIndex::apply_delta`]
-        /// onto its general (hash-matching) id-remapping path.
-        ///
-        /// [`DatabaseIndex::apply_delta`]: crate::DatabaseIndex::apply_delta
+        /// True iff the removal emptied (and so removed) the fact's block.
         emptied_block: bool,
     },
 }
 
-/// The net effect of the mutations recorded since a cached index snapshot
-/// was built: which facts were inserted, which were removed, and whether any
-/// block disappeared (reordering block ids).
+/// The net effect of the mutations recorded since some base state: which
+/// facts were inserted and which were removed.
 ///
 /// Recording *nets out* transient facts: removing a fact that was itself
-/// inserted after the snapshot cancels the insertion instead of growing the
-/// log. A base fact that is removed and later re-inserted stays in **both**
-/// lists — the snapshot's copy and the re-inserted copy are distinct
-/// allocations, and the patcher tracks facts by allocation identity.
+/// inserted after the base state cancels the insertion instead of growing
+/// the log. A base fact that is removed and later re-inserted stays in
+/// **both** lists.
 #[derive(Clone, Debug, Default)]
 pub struct ChangeSet {
     inserted: Vec<Fact>,
     removed: Vec<Fact>,
-    block_removed: bool,
 }
 
 impl ChangeSet {
@@ -100,13 +51,9 @@ impl ChangeSet {
     pub fn record(&mut self, delta: Delta) {
         match delta {
             Delta::Inserted(fact) => self.inserted.push(fact),
-            Delta::Removed {
-                fact,
-                emptied_block,
-            } => {
-                self.block_removed |= emptied_block;
-                // A fact inserted after the snapshot and removed again nets
-                // out entirely: the snapshot never saw it.
+            Delta::Removed { fact, .. } => {
+                // A fact inserted after the base state and removed again
+                // nets out entirely: the base state never held it.
                 if let Some(pos) = self.inserted.iter().position(|f| *f == fact) {
                     self.inserted.swap_remove(pos);
                 } else {
@@ -116,28 +63,22 @@ impl ChangeSet {
         }
     }
 
-    /// Facts inserted since the snapshot (absent from it).
+    /// Facts inserted since the base state (absent from it).
     pub fn inserted(&self) -> &[Fact] {
         &self.inserted
     }
 
-    /// Facts removed since the snapshot (present in it).
+    /// Facts removed since the base state (present in it).
     pub fn removed(&self) -> &[Fact] {
         &self.removed
     }
 
-    /// True iff some removal emptied (and thus removed) a whole block.
-    pub fn any_block_removed(&self) -> bool {
-        self.block_removed
-    }
-
-    /// The delta volume: number of recorded insertions plus removals. This
-    /// is what the fallback threshold is compared against.
+    /// The delta volume: number of recorded insertions plus removals.
     pub fn len(&self) -> usize {
         self.inserted.len() + self.removed.len()
     }
 
-    /// True iff nothing was recorded (the cached snapshot is current).
+    /// True iff nothing was recorded (the base state is current).
     pub fn is_empty(&self) -> bool {
         self.inserted.is_empty() && self.removed.is_empty()
     }
@@ -146,7 +87,6 @@ impl ChangeSet {
     pub fn clear(&mut self) {
         self.inserted.clear();
         self.removed.clear();
-        self.block_removed = false;
     }
 }
 
@@ -186,15 +126,7 @@ mod tests {
         assert_eq!(cs.removed().len(), 1);
         assert_eq!(cs.inserted().len(), 1);
         assert_eq!(cs.len(), 2);
-        assert!(cs.any_block_removed());
         cs.clear();
         assert!(cs.is_empty());
-        assert!(!cs.any_block_removed());
-    }
-
-    #[test]
-    fn default_threshold_is_positive() {
-        assert!(delta_threshold() >= 1 || delta_threshold() == 0);
-        assert_eq!(DEFAULT_DELTA_THRESHOLD, 256);
     }
 }

@@ -1,62 +1,36 @@
-//! Secondary indexes over an [`UncertainDatabase`].
+//! The indexed view of an [`UncertainDatabase`]: its relation segments.
 //!
-//! The database's primary index (relation + key prefix → block) supports the
+//! The database's primary index (relation + key → block) supports the
 //! block structure of Section 3; the solvers, however, join facts on
 //! *arbitrary* position subsets: a backtracking join binds variables one atom
 //! at a time, and the positions that are already bound change from search
-//! node to search node. A [`DatabaseIndex`] is an immutable snapshot of the
-//! database built for exactly that access pattern:
+//! node to search node. A [`DatabaseIndex`] serves exactly that access
+//! pattern. It is the database's own storage — one `Arc`-shared
+//! [`RelationSegment`] per relation — seen as an immutable value:
 //!
-//! * every fact gets a dense [`FactId`], so candidate sets are plain `u32`
-//!   lists instead of cloned facts;
-//! * per-relation fact and block lists replace the full-database scans of
-//!   `relation_facts` / `blocks_of`;
-//! * [`DatabaseIndex::position_index`] builds (lazily, once) a hash index
-//!   from the values at any chosen [`PositionSet`] to the ids of the facts
-//!   carrying those values, so a join step with bound positions is a single
-//!   hash probe;
-//! * the sorted active domain is computed once and cached for the
-//!   quantifier loops of the first-order model checker.
+//! * every fact gets a dense **relation-local** id, so candidate sets are
+//!   plain `u32` lists instead of cloned facts;
+//! * per-relation fact lists replace full-database scans;
+//! * [`DatabaseIndex::position_index`] builds (lazily, once per segment) a
+//!   hash index from the values at any chosen [`PositionSet`] to the ids of
+//!   the facts carrying those values, so a join step with bound positions
+//!   is a single hash probe;
+//! * the sorted active domain, the statistics and the columnar view are
+//!   assembled once per snapshot from per-segment parts.
 //!
-//! The snapshot is cached on the database ([`UncertainDatabase::index`]).
-//! Mutations no longer throw it away: they are logged as a
-//! [`crate::ChangeSet`] and the next [`UncertainDatabase::index`] call
-//! **patches** the previous snapshot via [`DatabaseIndex::apply_delta`] —
-//! fact lists, block lists, hash buckets, statistics, active domain and the
-//! columnar view are all maintained incrementally, falling back to a full
-//! rebuild only past a configurable delta-volume threshold.
+//! Obtaining it ([`UncertainDatabase::index`]) is an `Arc` clone. A write
+//! copies only the segment it touches, so two snapshots share every
+//! segment (and every index built on it) of the relations written in
+//! between by neither.
+//!
+//! [`UncertainDatabase`]: crate::UncertainDatabase
+//! [`UncertainDatabase::index`]: crate::UncertainDatabase::index
 
-use crate::columnar::{build_code_index, CodeIndex, Columnar, RelationColumns};
-use crate::delta::ChangeSet;
-use crate::{Block, BlockId, Fact, FxHashMap, RelationId, UncertainDatabase, Value};
+use crate::columnar::{CodeIndex, Codebook, Columnar};
+use crate::segment::{PositionIndex, RelationSegment, RelationStatistics, Slot};
+use crate::{Fact, FxHashSet, RelationId, Schema, Value};
 use std::fmt;
-use std::sync::{Arc, Mutex, OnceLock, PoisonError};
-
-/// Dense id of a fact inside one [`DatabaseIndex`] snapshot.
-///
-/// Ids run `0..index.fact_count()` and are only meaningful relative to the
-/// snapshot that produced them (a mutation of the database produces a new
-/// snapshot with new ids).
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
-pub struct FactId(pub(crate) u32);
-
-impl FactId {
-    /// The dense index of the fact.
-    pub fn index(self) -> usize {
-        self.0 as usize
-    }
-
-    /// Creates a fact id from a dense index.
-    pub fn from_index(i: usize) -> Self {
-        FactId(i as u32)
-    }
-}
-
-impl fmt::Display for FactId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "fact#{}", self.0)
-    }
-}
+use std::sync::{Arc, OnceLock};
 
 /// A set of attribute positions (0-based), stored as a bitmask.
 ///
@@ -130,113 +104,11 @@ impl fmt::Debug for PositionSet {
     }
 }
 
-/// A hash index of one relation on one position subset: maps the tuple of
-/// values at those positions (in ascending position order) to the dense ids
-/// of the facts carrying them.
-pub struct PositionIndex {
-    positions: Vec<usize>,
-    buckets: FxHashMap<Vec<Value>, Arc<[u32]>>,
-    empty: Arc<[u32]>,
-}
-
-impl PositionIndex {
-    fn build(index: &DatabaseIndex, relation: RelationId, positions: PositionSet) -> Self {
-        let positions: Vec<usize> = positions.iter().collect();
-        let mut grouped: FxHashMap<Vec<Value>, Vec<u32>> = FxHashMap::default();
-        for &fid in index.relation_fact_ids(relation) {
-            let fact = &index.facts[fid as usize];
-            let key: Vec<Value> = positions.iter().map(|&p| fact.value(p).clone()).collect();
-            grouped.entry(key).or_default().push(fid);
-        }
-        let buckets = grouped
-            .into_iter()
-            .map(|(key, ids)| (key, ids.into()))
-            .collect();
-        PositionIndex {
-            positions,
-            buckets,
-            empty: Arc::from(&[][..]),
-        }
-    }
-
-    /// The indexed positions, ascending.
-    pub fn positions(&self) -> &[usize] {
-        &self.positions
-    }
-
-    /// The fact ids whose values at the indexed positions equal `key`
-    /// (values in ascending position order). Missing keys give `&[]`.
-    pub fn candidates(&self, key: &[Value]) -> &[u32] {
-        self.buckets.get(key).map_or(&[], |ids| ids)
-    }
-
-    /// Like [`PositionIndex::candidates`], but returns a shared handle, so a
-    /// caller can resolve the bucket once and keep it without re-hashing the
-    /// key (the join engine's per-node pattern).
-    pub fn candidates_shared(&self, key: &[Value]) -> Arc<[u32]> {
-        self.buckets.get(key).unwrap_or(&self.empty).clone()
-    }
-
-    /// Number of distinct keys.
-    pub fn key_count(&self) -> usize {
-        self.buckets.len()
-    }
-
-    /// Iterates over the distinct keys (arbitrary order).
-    ///
-    /// For a single-position index this enumerates the distinct values of
-    /// that column — the candidate set the first-order model checker uses to
-    /// restrict quantifier ranges.
-    pub fn keys(&self) -> impl Iterator<Item = &[Value]> {
-        self.buckets.keys().map(Vec::as_slice)
-    }
-}
-
-/// Per-relation summary statistics of one [`DatabaseIndex`] snapshot.
-///
-/// These feed the cost model of the `cqa-exec` physical planner: the number
-/// of facts bounds the output of a full scan, and the distinct counts per
-/// position estimate the selectivity of an index probe on that position.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct RelationStatistics {
-    fact_count: usize,
-    block_count: usize,
-    distinct: Vec<usize>,
-    /// Per position, how often each distinct value occurs — the refcounts
-    /// that let [`DatabaseIndex::apply_delta`] maintain `distinct` exactly
-    /// under inserts *and* removals. Invariant: `distinct[p] == counts[p].len()`.
-    /// Shared copy-on-write so cloning the statistics of an untouched
-    /// relation during a delta patch is one reference-count bump.
-    counts: Arc<Vec<FxHashMap<Value, u32>>>,
-}
-
-impl RelationStatistics {
-    /// Number of facts of the relation.
-    pub fn fact_count(&self) -> usize {
-        self.fact_count
-    }
-
-    /// Number of blocks (distinct keys) of the relation.
-    pub fn block_count(&self) -> usize {
-        self.block_count
-    }
-
-    /// Number of distinct values at one attribute position (`None` when the
-    /// position is out of range for the relation's arity).
-    pub fn distinct_count(&self, position: usize) -> Option<usize> {
-        self.distinct.get(position).copied()
-    }
-
-    /// Distinct counts for every position, in position order.
-    pub fn distinct_counts(&self) -> &[usize] {
-        &self.distinct
-    }
-}
-
-/// Snapshot-wide statistics: one [`RelationStatistics`] per relation.
+/// Snapshot-wide statistics: one [`RelationStatistics`] per relation,
+/// shared with the relation segments.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Statistics {
-    relations: Vec<RelationStatistics>,
+    relations: Vec<Arc<RelationStatistics>>,
 }
 
 impl Statistics {
@@ -250,220 +122,168 @@ impl Statistics {
         self.relations
             .iter()
             .enumerate()
-            .map(|(i, s)| (RelationId::from_index(i), s))
+            .map(|(i, s)| (RelationId::from_index(i), &**s))
     }
 }
 
-/// An immutable index snapshot of an [`UncertainDatabase`].
+/// An immutable, indexed view of an [`UncertainDatabase`]'s contents.
 ///
 /// Obtained from [`UncertainDatabase::index`]; see the module documentation.
+///
+/// [`UncertainDatabase`]: crate::UncertainDatabase
+/// [`UncertainDatabase::index`]: crate::UncertainDatabase::index
 pub struct DatabaseIndex {
-    facts: Vec<Fact>,
-    fact_blocks: Vec<u32>,
-    by_relation: Vec<Vec<u32>>,
-    blocks_by_relation: Vec<Vec<u32>>,
-    arities: Vec<usize>,
-    active_domain: OnceLock<DomainInfo>,
+    segments: Vec<Arc<RelationSegment>>,
+    fact_count: usize,
+    codebook: Arc<Codebook>,
+    active_domain: OnceLock<Vec<Value>>,
     statistics: OnceLock<Statistics>,
-    position_indexes: Mutex<FxHashMap<(RelationId, u64), Arc<PositionIndex>>>,
     columnar: OnceLock<Columnar>,
-    code_indexes: Mutex<FxHashMap<(RelationId, u64), Arc<CodeIndex>>>,
-}
-
-/// The cached active domain: sorted distinct values plus, per value, its
-/// number of occurrences across all fact positions — the refcounts that let
-/// [`DatabaseIndex::apply_delta`] decide exactly when an insert extends or a
-/// removal shrinks the domain.
-struct DomainInfo {
-    values: Arc<[Value]>,
-    counts: Vec<u32>,
-}
-
-/// The base arrays of a [`DatabaseIndex`]: everything derived from a single
-/// ordered walk of the database's blocks. Shared by [`DatabaseIndex::build`]
-/// and [`DatabaseIndex::apply_delta`] so both produce *identical* fact-id
-/// assignments by construction.
-struct IndexBase {
-    facts: Vec<Fact>,
-    fact_blocks: Vec<u32>,
-    by_relation: Vec<Vec<u32>>,
-    blocks_by_relation: Vec<Vec<u32>>,
-    arities: Vec<usize>,
-}
-
-impl IndexBase {
-    fn build(db: &UncertainDatabase) -> Self {
-        let relations = db.schema().len();
-        let mut facts = Vec::with_capacity(db.fact_count());
-        let mut fact_blocks = Vec::with_capacity(db.fact_count());
-        let mut by_relation = vec![Vec::new(); relations];
-        let mut blocks_by_relation = vec![Vec::new(); relations];
-        for (block_id, block) in db.blocks_with_ids() {
-            blocks_by_relation[block.relation().index()].push(block_id.0);
-            for fact in block.facts() {
-                let fid = facts.len() as u32;
-                by_relation[fact.relation().index()].push(fid);
-                facts.push(fact.clone());
-                fact_blocks.push(block_id.0);
-            }
-        }
-        IndexBase {
-            facts,
-            fact_blocks,
-            by_relation,
-            blocks_by_relation,
-            arities: db.schema().iter().map(|(_, r)| r.arity()).collect(),
-        }
-    }
 }
 
 impl DatabaseIndex {
-    pub(crate) fn build(db: &UncertainDatabase) -> Self {
-        let base = IndexBase::build(db);
+    /// No facts, one empty segment per relation, a fresh codebook.
+    pub(crate) fn empty(schema: &Schema) -> Self {
         DatabaseIndex {
-            facts: base.facts,
-            fact_blocks: base.fact_blocks,
-            by_relation: base.by_relation,
-            blocks_by_relation: base.blocks_by_relation,
-            arities: base.arities,
+            segments: schema
+                .iter()
+                .map(|(id, r)| Arc::new(RelationSegment::new(id, r.arity(), r.key_len())))
+                .collect(),
+            fact_count: 0,
+            codebook: Arc::default(),
             active_domain: OnceLock::new(),
             statistics: OnceLock::new(),
-            position_indexes: Mutex::new(FxHashMap::default()),
             columnar: OnceLock::new(),
-            code_indexes: Mutex::new(FxHashMap::default()),
         }
     }
 
-    /// Number of relations in the schema the snapshot was built over.
+    /// A copy sharing every segment and the codebook, with nothing
+    /// snapshot-wide derived yet (O(relations)).
+    pub(crate) fn fork(&self) -> Self {
+        DatabaseIndex {
+            segments: self.segments.clone(),
+            fact_count: self.fact_count,
+            codebook: self.codebook.clone(),
+            active_domain: OnceLock::new(),
+            statistics: OnceLock::new(),
+            columnar: OnceLock::new(),
+        }
+    }
+
+    /// The segment of `relation` for a write: copied first (its piece
+    /// handles, see [`crate::cow`]) if another index shares it. Drops the
+    /// snapshot-wide derived views, which the write is about to make stale.
+    fn segment_mut(&mut self, relation: RelationId) -> (&mut RelationSegment, &Codebook) {
+        self.active_domain.take();
+        self.statistics.take();
+        self.columnar.take();
+        let segment = &mut self.segments[relation.index()];
+        if Arc::get_mut(segment).is_none() {
+            cqa_obs::count!("data.segments.forked");
+            *segment = Arc::new(RelationSegment::clone(segment));
+        }
+        let segment = Arc::get_mut(segment).expect("the segment was just made unique");
+        (segment, &self.codebook)
+    }
+
+    /// Inserts an absent fact of the right arity at its [`Slot`].
+    pub(crate) fn insert(&mut self, fact: Fact, slot: Slot) {
+        let (segment, codebook) = self.segment_mut(fact.relation());
+        segment.insert(fact, slot, codebook);
+        self.fact_count += 1;
+    }
+
+    /// Removes a present fact.
+    pub(crate) fn remove_fact(&mut self, fact: &Fact) {
+        let removed = self.segment_mut(fact.relation()).0.remove_fact(fact);
+        debug_assert!(removed, "callers remove only present facts");
+        self.fact_count -= 1;
+    }
+
+    /// Removes the present block of `relation` with `key`.
+    pub(crate) fn remove_block(&mut self, relation: RelationId, key: &[Value]) {
+        self.fact_count -= self.segment_mut(relation).0.remove_block(key);
+    }
+
+    /// The relation segments, in relation order.
+    pub fn segments(&self) -> &[Arc<RelationSegment>] {
+        &self.segments
+    }
+
+    /// The segment of one relation.
+    pub fn segment(&self, relation: RelationId) -> &Arc<RelationSegment> {
+        &self.segments[relation.index()]
+    }
+
+    /// Number of relations whose segment `other` shares with this index
+    /// (the same allocation, not merely equal contents).
+    pub fn shared_segments(&self, other: &DatabaseIndex) -> usize {
+        self.segments
+            .iter()
+            .zip(&other.segments)
+            .filter(|(a, b)| Arc::ptr_eq(a, b))
+            .count()
+    }
+
+    /// Number of relations in the schema the index was built over.
     pub fn relation_count(&self) -> usize {
-        self.arities.len()
+        self.segments.len()
     }
 
-    /// Arity of one relation.
-    pub fn arity(&self, relation: RelationId) -> usize {
-        self.arities[relation.index()]
-    }
-
-    /// Number of facts in the snapshot.
+    /// Number of facts.
     pub fn fact_count(&self) -> usize {
-        self.facts.len()
+        self.fact_count
     }
 
-    /// The fact with the given dense id.
-    pub fn fact(&self, id: FactId) -> &Fact {
-        &self.facts[id.index()]
+    /// The fact of `relation` with the given local id.
+    pub fn fact(&self, relation: RelationId, id: u32) -> &Fact {
+        self.segment(relation).fact(id)
     }
 
-    /// The block (id) a fact belongs to.
-    pub fn block_of(&self, id: FactId) -> BlockId {
-        BlockId(self.fact_blocks[id.index()])
-    }
-
-    /// Dense ids of all facts of one relation, in snapshot order.
+    /// Local ids of all facts of one relation: `0..n`, ascending.
     pub fn relation_fact_ids(&self, relation: RelationId) -> &[u32] {
-        &self.by_relation[relation.index()]
+        self.segment(relation).fact_ids()
     }
 
-    /// Ids of all blocks of one relation.
-    pub fn relation_block_ids(&self, relation: RelationId) -> &[u32] {
-        &self.blocks_by_relation[relation.index()]
-    }
-
-    /// Iterates over the facts of one relation without a database scan.
+    /// The facts of one relation, by local id.
     pub fn relation_facts(&self, relation: RelationId) -> impl Iterator<Item = &Fact> {
-        self.relation_fact_ids(relation)
-            .iter()
-            .map(move |&fid| &self.facts[fid as usize])
-    }
-
-    /// Iterates over the blocks of one relation of `db` without scanning the
-    /// other relations' blocks.
-    ///
-    /// `db` must be the database this snapshot was built from.
-    pub fn relation_blocks<'a>(
-        &'a self,
-        db: &'a UncertainDatabase,
-        relation: RelationId,
-    ) -> impl Iterator<Item = &'a Block> {
-        self.relation_block_ids(relation)
-            .iter()
-            .map(move |&b| db.block(BlockId(b)))
+        self.segment(relation).facts()
     }
 
     /// The sorted, deduplicated active domain, computed once per snapshot.
     pub fn active_domain(&self) -> &[Value] {
-        &self.domain_info().values
-    }
-
-    /// The active domain as a shared handle (the allocation backing both
-    /// [`DatabaseIndex::active_domain`] and the columnar dictionary).
-    pub fn active_domain_shared(&self) -> Arc<[Value]> {
-        self.domain_info().values.clone()
-    }
-
-    fn domain_info(&self) -> &DomainInfo {
         self.active_domain.get_or_init(|| {
             cqa_obs::count!("data.active_domain.build");
-            let mut dom: Vec<Value> = self
-                .facts
+            let distinct: FxHashSet<&Value> = self
+                .segments
                 .iter()
-                .flat_map(|f| f.values().iter().cloned())
+                .flat_map(|s| s.facts())
+                .flat_map(|f| f.values())
                 .collect();
-            dom.sort();
-            // Run-length encode: distinct sorted values + occurrence counts.
-            let mut values = Vec::new();
-            let mut counts = Vec::new();
-            for value in dom {
-                if values.last() == Some(&value) {
-                    *counts.last_mut().expect("counts tracks values") += 1;
-                } else {
-                    values.push(value);
-                    counts.push(1);
-                }
-            }
-            DomainInfo {
-                values: values.into(),
-                counts,
-            }
+            let mut domain: Vec<Value> = distinct.into_iter().cloned().collect();
+            domain.sort_unstable();
+            domain
         })
     }
 
     /// Per-relation statistics (cardinality, block count, distinct values
-    /// per position), computed once per snapshot and cached.
+    /// per position), assembled once per snapshot from the segments.
     ///
     /// These are the inputs of the `cqa-exec` cost model: they are exact for
     /// the snapshot they were computed on and serve as *estimates* when a
     /// plan compiled against one snapshot is executed against another.
     pub fn statistics(&self) -> &Statistics {
-        self.statistics.get_or_init(|| {
-            cqa_obs::count!("data.statistics.build");
-            let relations = self
-                .by_relation
+        self.statistics.get_or_init(|| Statistics {
+            relations: self
+                .segments
                 .iter()
-                .enumerate()
-                .map(|(rel, fact_ids)| {
-                    let arity = self.arities[rel];
-                    let mut seen: Vec<FxHashMap<Value, u32>> = vec![FxHashMap::default(); arity];
-                    for &fid in fact_ids {
-                        let fact = &self.facts[fid as usize];
-                        for (pos, value) in fact.values().iter().enumerate() {
-                            *seen[pos].entry(value.clone()).or_insert(0) += 1;
-                        }
-                    }
-                    RelationStatistics {
-                        fact_count: fact_ids.len(),
-                        block_count: self.blocks_by_relation[rel].len(),
-                        distinct: seen.iter().map(FxHashMap::len).collect(),
-                        counts: Arc::new(seen),
-                    }
-                })
-                .collect();
-            Statistics { relations }
+                .map(|s| s.statistics().clone())
+                .collect(),
         })
     }
 
     /// The hash index of `relation` on the given position subset, built on
-    /// first use and cached for the lifetime of the snapshot.
+    /// first use and cached on the relation's segment.
     ///
     /// An empty position set yields a single bucket (the empty key) holding
     /// every fact of the relation; callers with no bound positions should
@@ -473,546 +293,43 @@ impl DatabaseIndex {
         relation: RelationId,
         positions: PositionSet,
     ) -> Arc<PositionIndex> {
-        let key = (relation, positions.0);
-        // The cache only ever grows and entries are immutable, so a panic in
-        // some other holder of the lock cannot leave it inconsistent —
-        // recover from poisoning instead of propagating it.
-        if let Some(existing) = self
-            .position_indexes
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .get(&key)
-        {
-            cqa_obs::count!("data.position_index.hit");
-            return existing.clone();
-        }
-        cqa_obs::count!("data.position_index.miss");
-        // Build outside the lock: concurrent builders may race, in which
-        // case one result wins and the duplicates are dropped — harmless.
-        let started = std::time::Instant::now();
-        let built = Arc::new(PositionIndex::build(self, relation, positions));
-        cqa_obs::observe_duration!("data.position_index.build_nanos", started.elapsed());
-        let mut cache = self
-            .position_indexes
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        cache.entry(key).or_insert(built).clone()
+        self.segment(relation).position_index(positions)
     }
 
-    /// The dictionary-encoded columnar view of the snapshot, materialized on
-    /// first use and cached — the value arrays the vectorized executor scans.
+    /// The dictionary-encoded columnar view, assembled on first use from
+    /// the segments' code columns — the value arrays the vectorized
+    /// executor scans.
     pub fn columnar(&self) -> &Columnar {
-        // The pre-check races benignly: two first callers may both count a
-        // miss, but `get_or_init` still builds exactly once.
-        if self.columnar.get().is_some() {
-            cqa_obs::count!("data.columnar.hit");
-        } else {
-            cqa_obs::count!("data.columnar.miss");
-        }
         self.columnar.get_or_init(|| {
-            let started = std::time::Instant::now();
-            let built = Columnar::build(self);
-            cqa_obs::observe_duration!("data.columnar.build_nanos", started.elapsed());
-            built
+            let relations = self
+                .segments
+                .iter()
+                .map(|s| s.columns(&self.codebook).clone())
+                .collect();
+            // Taken after every segment is encoded, so it decodes them all.
+            Columnar::new(self.codebook.view(), relations)
         })
     }
 
     /// The packed-code hash index of `relation` over one or two `positions`
-    /// (ascending), built on first use and cached for the snapshot — the
-    /// vectorized counterpart of [`DatabaseIndex::position_index`].
+    /// (ascending), built on first use and cached on the relation's
+    /// segment — the vectorized counterpart of
+    /// [`DatabaseIndex::position_index`].
     pub fn code_index(&self, relation: RelationId, positions: &[usize]) -> Arc<CodeIndex> {
-        // One or two positions, packed 1-biased so [p] and [p, 0] differ.
-        let packed = match positions {
-            [p] => *p as u64 + 1,
-            [p, q] => (*p as u64 + 1) | ((*q as u64 + 1) << 32),
-            _ => panic!("CodeIndex keys cover one or two positions"),
-        };
-        let key = (relation, packed);
-        if let Some(existing) = self
-            .code_indexes
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .get(&key)
-        {
-            cqa_obs::count!("data.code_index.hit");
-            return existing.clone();
-        }
-        cqa_obs::count!("data.code_index.miss");
-        // Same build-outside-the-lock pattern as `position_index`.
-        let started = std::time::Instant::now();
-        let built = Arc::new(build_code_index(self.columnar(), relation, positions));
-        cqa_obs::observe_duration!("data.code_index.build_nanos", started.elapsed());
-        let mut cache = self
-            .code_indexes
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        cache.entry(key).or_insert(built).clone()
-    }
-
-    /// Builds the snapshot of `db` by **patching** this snapshot with the
-    /// recorded `changes` instead of recomputing everything from scratch.
-    ///
-    /// `db` must be the database this snapshot was built from, after exactly
-    /// the mutations recorded in `changes` (this is the invariant
-    /// [`UncertainDatabase::index`] maintains). The result is
-    /// indistinguishable from a full rebuild: the base arrays are rebuilt
-    /// from the same ordered block walk (so fact ids are identical by
-    /// construction), and every *cached* derived structure — active domain,
-    /// statistics, position hash indexes, columnar view, code indexes — is
-    /// carried over patched, so the work already invested in the old
-    /// snapshot survives small mutations.
-    ///
-    /// Facts are matched across snapshots by **allocation identity**: a
-    /// stored fact's `values` allocation is shared between the database, the
-    /// old snapshot and the delta log, so pointer equality identifies
-    /// surviving facts without hashing a single value. (Facts are non-empty
-    /// — arities are ≥ 1 by schema validation — and the old snapshot keeps
-    /// its allocations alive for the duration of the patch, so pointers are
-    /// unambiguous.)
-    pub fn apply_delta(&self, db: &UncertainDatabase, changes: &ChangeSet) -> DatabaseIndex {
-        /// Sentinel for "no counterpart in the other snapshot".
-        const GONE: u32 = u32::MAX;
-
-        let base = IndexBase::build(db);
-
-        // ---- old→new fact-id mapping -----------------------------------
-        // `mapping[old]` is the new id of a surviving fact (GONE for removed
-        // ones); `inserted_ids[slot]` is the new id of `changes.inserted()[slot]`
-        // (GONE when the slot aliases a surviving fact, i.e. the very same
-        // allocation was removed and re-inserted — then the mapping already
-        // covers it and the insert must not be double-counted in id space).
-        let mut mapping = vec![GONE; self.facts.len()];
-        let mut inserted_ids = vec![GONE; changes.inserted().len()];
-        if !changes.any_block_removed() {
-            // Fast path: no block disappeared, so old block ids are still
-            // valid and each old block's fact ids form one contiguous range
-            // (the build walk assigns them in block order). Match by a ptr
-            // scan inside that tiny range — zero hashing.
-            let old_blocks = self
-                .fact_blocks
-                .iter()
-                .map(|&b| b as usize + 1)
-                .max()
-                .unwrap_or(0);
-            let mut starts = vec![0u32; old_blocks + 1];
-            for &b in &self.fact_blocks {
-                starts[b as usize + 1] += 1;
-            }
-            for i in 0..old_blocks {
-                starts[i + 1] += starts[i];
-            }
-            for (new_id, fact) in base.facts.iter().enumerate() {
-                let bi = base.fact_blocks[new_id] as usize;
-                let range = if bi < old_blocks {
-                    starts[bi] as usize..starts[bi + 1] as usize
-                } else {
-                    0..0 // a block created after the snapshot
-                };
-                let old = range.clone().find(|&old| {
-                    std::ptr::eq(self.facts[old].values().as_ptr(), fact.values().as_ptr())
-                });
-                match old {
-                    Some(old) => mapping[old] = new_id as u32,
-                    None => {
-                        let slot = changes
-                            .inserted()
-                            .iter()
-                            .position(|f| std::ptr::eq(f.values().as_ptr(), fact.values().as_ptr()))
-                            .expect(
-                                "every fact absent from the old snapshot was recorded \
-                                 as inserted",
-                            );
-                        inserted_ids[slot] = new_id as u32;
-                    }
-                }
-            }
-        } else {
-            // General path: block removal reordered block ids (`swap_remove`),
-            // so old ranges are meaningless — match through one cheap
-            // pointer-keyed hash map over the new facts.
-            let by_ptr: FxHashMap<usize, u32> = base
-                .facts
-                .iter()
-                .enumerate()
-                .map(|(id, f)| (f.values().as_ptr() as usize, id as u32))
-                .collect();
-            for (old, fact) in self.facts.iter().enumerate() {
-                if let Some(&new_id) = by_ptr.get(&(fact.values().as_ptr() as usize)) {
-                    mapping[old] = new_id;
-                }
-            }
-            for (slot, fact) in changes.inserted().iter().enumerate() {
-                if let Some(&new_id) = by_ptr.get(&(fact.values().as_ptr() as usize)) {
-                    inserted_ids[slot] = new_id;
-                }
-            }
-        }
-
-        // Inverse mapping (new id → old id), also used to cancel aliased
-        // re-inserts: a slot whose new id is already claimed by a surviving
-        // old fact is the same allocation removed and re-inserted.
-        let mut old_of_new = vec![GONE; base.facts.len()];
-        for (old, &new_id) in mapping.iter().enumerate() {
-            if new_id != GONE {
-                old_of_new[new_id as usize] = old as u32;
-            }
-        }
-        for id in inserted_ids.iter_mut() {
-            if *id != GONE && old_of_new[*id as usize] != GONE {
-                *id = GONE;
-            }
-        }
-
-        // Which relations gained or lost facts (their stats/columns/indexes
-        // need patching; everything else is carried over verbatim).
-        let mut touched = vec![false; self.arities.len()];
-        for fact in changes.inserted().iter().chain(changes.removed()) {
-            touched[fact.relation().index()] = true;
-        }
-
-        // Whether every surviving fact kept its id. Only then can an
-        // untouched relation's fact-id buckets be carried over verbatim: a
-        // removal, or an insert into a block that is not last in the walk,
-        // shifts the ids of every fact after it — across all relations.
-        let ids_stable = mapping.iter().enumerate().all(|(i, &m)| m == i as u32);
-
-        // ---- active domain ---------------------------------------------
-        // Patched via the cached occurrence counts: an insert extends the
-        // domain only on a count 0→1 transition, a removal shrinks it only
-        // on 1→0. `code_remap` translates old dictionary codes to new ones
-        // (None = the value array is unchanged, codes are stable).
-        let mut code_remap: Option<Vec<u32>> = None;
-        let domain_patch: Option<DomainInfo> = self.active_domain.get().map(|info| {
-            let old_values = &info.values;
-            let mut counts = info.counts.clone();
-            let mut added: Vec<&Value> = Vec::new();
-            for fact in changes.inserted() {
-                for value in fact.values() {
-                    match old_values.binary_search(value) {
-                        Ok(i) => counts[i] += 1,
-                        Err(_) => added.push(value),
-                    }
-                }
-            }
-            for fact in changes.removed() {
-                for value in fact.values() {
-                    let i = old_values.binary_search(value).expect(
-                        "removed facts come from the snapshot, so their values are \
-                         in the cached domain",
-                    );
-                    counts[i] -= 1;
-                }
-            }
-            if added.is_empty() && counts.iter().all(|&c| c > 0) {
-                // Same value set: share the allocation (and so the
-                // dictionary identity) with the old snapshot.
-                return DomainInfo {
-                    values: old_values.clone(),
-                    counts,
-                };
-            }
-            // The value set changed: merge surviving old values with the
-            // (sorted, run-length-counted) additions. Added values are by
-            // construction absent from the old array, so the merge never
-            // sees an equal pair.
-            added.sort();
-            let mut values = Vec::with_capacity(old_values.len() + added.len());
-            let mut new_counts = Vec::with_capacity(old_values.len() + added.len());
-            let mut remap = vec![GONE; old_values.len()];
-            let mut ai = 0;
-            let push_added_below = |limit: Option<&Value>,
-                                    ai: &mut usize,
-                                    values: &mut Vec<Value>,
-                                    new_counts: &mut Vec<u32>| {
-                while *ai < added.len() && limit.is_none_or(|v| added[*ai] < v) {
-                    let run = *ai;
-                    while *ai < added.len() && added[*ai] == added[run] {
-                        *ai += 1;
-                    }
-                    values.push(added[run].clone());
-                    new_counts.push((*ai - run) as u32);
-                }
-            };
-            for (i, value) in old_values.iter().enumerate() {
-                push_added_below(Some(value), &mut ai, &mut values, &mut new_counts);
-                if counts[i] > 0 {
-                    remap[i] = values.len() as u32;
-                    values.push(value.clone());
-                    new_counts.push(counts[i]);
-                }
-            }
-            push_added_below(None, &mut ai, &mut values, &mut new_counts);
-            code_remap = Some(remap);
-            DomainInfo {
-                values: values.into(),
-                counts: new_counts,
-            }
-        });
-
-        // ---- statistics -------------------------------------------------
-        // Exact maintenance via the per-position occurrence counts; touched
-        // relations take their fact/block cardinalities from the new base.
-        let statistics_patch: Option<Statistics> = self.statistics.get().map(|stats| {
-            let mut relations = stats.relations.clone();
-            for fact in changes.inserted() {
-                let rel = &mut relations[fact.relation().index()];
-                let counts = Arc::make_mut(&mut rel.counts);
-                for (pos, value) in fact.values().iter().enumerate() {
-                    let count = counts[pos].entry(value.clone()).or_insert(0);
-                    *count += 1;
-                    if *count == 1 {
-                        rel.distinct[pos] += 1;
-                    }
-                }
-            }
-            for fact in changes.removed() {
-                let rel = &mut relations[fact.relation().index()];
-                let counts = Arc::make_mut(&mut rel.counts);
-                for (pos, value) in fact.values().iter().enumerate() {
-                    let count = counts[pos]
-                        .get_mut(value)
-                        .expect("removed facts were counted in the snapshot statistics");
-                    *count -= 1;
-                    if *count == 0 {
-                        counts[pos].remove(value);
-                        rel.distinct[pos] -= 1;
-                    }
-                }
-            }
-            for (rel, relation_stats) in relations.iter_mut().enumerate() {
-                if touched[rel] {
-                    relation_stats.fact_count = base.by_relation[rel].len();
-                    relation_stats.block_count = base.blocks_by_relation[rel].len();
-                }
-            }
-            Statistics { relations }
-        });
-
-        // ---- position hash indexes --------------------------------------
-        // Every cached index is carried over: surviving ids are remapped in
-        // place (`HashMap::clone` copies the table without rehashing keys),
-        // inserted facts are hashed into their buckets. Buckets stay in
-        // ascending id order, as `PositionIndex::build` produces them.
-        let ensure_sorted = |ids: &mut Vec<u32>| {
-            if !ids.windows(2).all(|w| w[0] <= w[1]) {
-                ids.sort_unstable();
-            }
-        };
-        let old_position_indexes = self
-            .position_indexes
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .clone();
-        let mut position_indexes = FxHashMap::default();
-        for (&(relation, posbits), old_index) in &old_position_indexes {
-            if !touched[relation.index()] && ids_stable {
-                // Untouched relation, stable ids: the whole index is still
-                // exact — share the allocation instead of cloning buckets.
-                position_indexes.insert((relation, posbits), old_index.clone());
-                continue;
-            }
-            let positions = &old_index.positions;
-            let mut buckets = old_index.buckets.clone();
-            if touched[relation.index()] {
-                buckets.retain(|_, ids| {
-                    let mut mapped: Vec<u32> = ids
-                        .iter()
-                        .filter_map(|&old| {
-                            let new_id = mapping[old as usize];
-                            (new_id != GONE).then_some(new_id)
-                        })
-                        .collect();
-                    if mapped.is_empty() {
-                        return false;
-                    }
-                    ensure_sorted(&mut mapped);
-                    *ids = mapped.into();
-                    true
-                });
-                let mut additions: FxHashMap<Vec<Value>, Vec<u32>> = FxHashMap::default();
-                for (slot, fact) in changes.inserted().iter().enumerate() {
-                    if fact.relation() != relation || inserted_ids[slot] == GONE {
-                        continue;
-                    }
-                    let key: Vec<Value> =
-                        positions.iter().map(|&p| fact.value(p).clone()).collect();
-                    additions.entry(key).or_default().push(inserted_ids[slot]);
-                }
-                for (key, mut ids) in additions {
-                    match buckets.entry(key) {
-                        std::collections::hash_map::Entry::Occupied(mut entry) => {
-                            let mut merged = entry.get().to_vec();
-                            merged.append(&mut ids);
-                            ensure_sorted(&mut merged);
-                            entry.insert(merged.into());
-                        }
-                        std::collections::hash_map::Entry::Vacant(entry) => {
-                            ensure_sorted(&mut ids);
-                            entry.insert(ids.into());
-                        }
-                    }
-                }
-            } else {
-                // Untouched relation, but some fact ids shifted (a block
-                // reorder, or an insert/removal earlier in the walk): remap
-                // in place (bucket membership is unchanged).
-                for ids in buckets.values_mut() {
-                    let mut mapped: Vec<u32> = ids
-                        .iter()
-                        .map(|&old| {
-                            let new_id = mapping[old as usize];
-                            debug_assert_ne!(new_id, GONE, "untouched relation lost a fact");
-                            new_id
-                        })
-                        .collect();
-                    ensure_sorted(&mut mapped);
-                    *ids = mapped.into();
-                }
-            }
-            position_indexes.insert(
-                (relation, posbits),
-                Arc::new(PositionIndex {
-                    positions: positions.clone(),
-                    buckets,
-                    empty: old_index.empty.clone(),
-                }),
-            );
-        }
-
-        // ---- columnar view ----------------------------------------------
-        // Untouched relations share their column arrays (or take a pure
-        // integer remap when the dictionary changed) — but only while their
-        // ROW ORDER survived: detaching an emptied block swap-removes it,
-        // which permutes the global block walk and can reorder the facts of
-        // relations the delta never touched. Reordered or touched relations
-        // are re-rowed from old rows + dictionary lookups for inserted facts.
-        let rows_stable = |rel: usize| {
-            let new_ids = &base.by_relation[rel];
-            let old_ids = &self.by_relation[rel];
-            new_ids.len() == old_ids.len()
-                && new_ids
-                    .iter()
-                    .zip(old_ids.iter())
-                    .all(|(&new_id, &old_id)| old_of_new[new_id as usize] == old_id)
-        };
-        let columnar_patch: Option<Columnar> = self.columnar.get().map(|columnar| {
-            let domain = domain_patch
-                .as_ref()
-                .expect("a cached columnar view implies a cached active domain");
-            let remap_code = |code: u32| match &code_remap {
-                None => code,
-                Some(remap) => {
-                    let new_code = remap[code as usize];
-                    debug_assert_ne!(new_code, GONE, "a live column referenced a dead code");
-                    new_code
-                }
-            };
-            let relations = (0..self.arities.len())
-                .map(|rel| {
-                    let relation = RelationId::from_index(rel);
-                    let old_columns = columnar.relation_arc(relation);
-                    if !touched[rel] && rows_stable(rel) {
-                        return match &code_remap {
-                            None => old_columns,
-                            Some(_) => Arc::new(RelationColumns::from_columns(
-                                old_columns
-                                    .columns()
-                                    .iter()
-                                    .map(|col| col.iter().map(|&c| remap_code(c)).collect())
-                                    .collect(),
-                                old_columns.row_count(),
-                            )),
-                        };
-                    }
-                    let fact_ids = &base.by_relation[rel];
-                    let old_fact_ids = &self.by_relation[rel];
-                    let arity = self.arities[rel];
-                    let mut columns: Vec<Vec<u32>> =
-                        vec![Vec::with_capacity(fact_ids.len()); arity];
-                    for &fid in fact_ids {
-                        let old = old_of_new[fid as usize];
-                        if old != GONE {
-                            let old_row = old_fact_ids
-                                .binary_search(&old)
-                                .expect("surviving fact was listed in the old relation");
-                            for (pos, column) in columns.iter_mut().enumerate() {
-                                column.push(remap_code(old_columns.column(pos)[old_row]));
-                            }
-                        } else {
-                            let fact = &base.facts[fid as usize];
-                            for (pos, column) in columns.iter_mut().enumerate() {
-                                let code = domain
-                                    .values
-                                    .binary_search(fact.value(pos))
-                                    .expect("inserted values were merged into the dictionary")
-                                    as u32;
-                                column.push(code);
-                            }
-                        }
-                    }
-                    Arc::new(RelationColumns::from_columns(columns, fact_ids.len()))
-                })
-                .collect();
-            Columnar::from_parts(domain.values.clone(), relations)
-        });
-
-        // ---- code indexes -----------------------------------------------
-        // Valid only while both the dictionary and the relation's rows
-        // (content AND order — buckets hold row numbers) are unchanged;
-        // anything else is dropped and lazily rebuilt from the patched
-        // columnar view.
-        let mut code_indexes = FxHashMap::default();
-        if columnar_patch.is_some() && code_remap.is_none() {
-            let old_code_indexes = self
-                .code_indexes
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .clone();
-            for (&(relation, packed), code_index) in &old_code_indexes {
-                if !touched[relation.index()] && rows_stable(relation.index()) {
-                    code_indexes.insert((relation, packed), code_index.clone());
-                }
-            }
-        }
-
-        // ---- assembly ---------------------------------------------------
-        let active_domain = OnceLock::new();
-        if let Some(info) = domain_patch {
-            let _ = active_domain.set(info);
-        }
-        let statistics = OnceLock::new();
-        if let Some(stats) = statistics_patch {
-            let _ = statistics.set(stats);
-        }
-        let columnar = OnceLock::new();
-        if let Some(view) = columnar_patch {
-            let _ = columnar.set(view);
-        }
-        DatabaseIndex {
-            facts: base.facts,
-            fact_blocks: base.fact_blocks,
-            by_relation: base.by_relation,
-            blocks_by_relation: base.blocks_by_relation,
-            arities: base.arities,
-            active_domain,
-            statistics,
-            position_indexes: Mutex::new(position_indexes),
-            columnar,
-            code_indexes: Mutex::new(code_indexes),
-        }
+        self.segment(relation).code_index(positions, &self.codebook)
     }
 }
 
 impl fmt::Debug for DatabaseIndex {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "DatabaseIndex({} facts)", self.facts.len())
+        write!(f, "DatabaseIndex({} facts)", self.fact_count)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Schema;
+    use crate::UncertainDatabase;
 
     fn figure1() -> UncertainDatabase {
         let schema = Schema::from_relations([("C", 3, 2), ("R", 2, 1)])
@@ -1039,25 +356,21 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_lists_facts_and_blocks_per_relation() {
+    fn index_lists_facts_per_relation_with_local_ids() {
         let db = figure1();
         let index = db.index();
         let c = db.schema().relation_id("C").unwrap();
         let r = db.schema().relation_id("R").unwrap();
         assert_eq!(index.fact_count(), 6);
-        assert_eq!(index.relation_fact_ids(c).len(), 3);
-        assert_eq!(index.relation_fact_ids(r).len(), 3);
-        assert_eq!(index.relation_block_ids(c).len(), 2);
-        assert_eq!(index.relation_block_ids(r).len(), 2);
+        assert_eq!(index.relation_fact_ids(c), &[0, 1, 2]);
+        assert_eq!(index.relation_fact_ids(r), &[0, 1, 2]);
+        assert_eq!(index.segment(c).block_count(), 2);
+        assert_eq!(index.segment(r).block_count(), 2);
         for &fid in index.relation_fact_ids(c) {
-            let fact = index.fact(FactId(fid));
+            let fact = index.fact(c, fid);
             assert_eq!(fact.relation(), c);
-            let block = db.block(index.block_of(FactId(fid)));
-            assert!(block.contains(fact));
+            assert!(db.block_of(fact).unwrap().contains(fact));
         }
-        let listed: Vec<_> = index.relation_blocks(&db, r).collect();
-        assert_eq!(listed.len(), 2);
-        assert!(listed.iter().all(|b| b.relation() == r));
     }
 
     #[test]
@@ -1076,7 +389,7 @@ mod tests {
         assert_eq!(pair.positions(), &[0, 2]);
         let hits = pair.candidates(&[Value::str("PODS"), Value::str("Rome")]);
         assert_eq!(hits.len(), 1);
-        assert_eq!(index.fact(FactId(hits[0])).value(1), &Value::str("2016"));
+        assert_eq!(index.fact(c, hits[0]).value(1), &Value::str("2016"));
         // The same subset is served from the cache (same Arc).
         let again = index.position_index(c, PositionSet::from_positions([0, 2]));
         assert!(Arc::ptr_eq(&pair, &again));
@@ -1122,79 +435,56 @@ mod tests {
     }
 
     #[test]
-    fn snapshots_are_cached_and_invalidated_by_mutation() {
+    fn writes_copy_only_the_touched_segment() {
         let mut db = figure1();
-        let a = db.index();
-        let b = db.index();
-        assert!(Arc::ptr_eq(&a, &b));
-        db.insert_values("R", ["VLDB", "A"]).unwrap();
-        let c = db.index();
-        assert!(!Arc::ptr_eq(&a, &c));
-        assert_eq!(c.fact_count(), 7);
-        // Removal invalidates too.
+        let c = db.schema().relation_id("C").unwrap();
         let r = db.schema().relation_id("R").unwrap();
+        let a = db.index();
+        assert!(Arc::ptr_eq(&a, &db.index()));
+        db.insert_values("R", ["VLDB", "A"]).unwrap();
+        let b = db.index();
+        assert!(!Arc::ptr_eq(&a, &b));
+        assert_eq!(b.fact_count(), 7);
+        assert!(Arc::ptr_eq(a.segment(c), b.segment(c)));
+        assert!(!Arc::ptr_eq(a.segment(r), b.segment(r)));
+        assert_eq!(b.shared_segments(&a), 1);
+        // Removal too; the old index keeps its contents.
         db.remove_fact(&Fact::new(r, vec![Value::str("VLDB"), Value::str("A")]));
-        let d = db.index();
-        assert_eq!(d.fact_count(), 6);
-        // A clone shares the cached snapshot until either side mutates.
+        assert_eq!(db.index().fact_count(), 6);
+        assert_eq!(b.relation_facts(r).count(), 4);
+        // A clone shares the index until either side writes.
         let clone = db.clone();
         assert!(Arc::ptr_eq(&clone.index(), &db.index()));
     }
 
     #[test]
-    fn delta_patch_remaps_untouched_relations_when_ids_shift() {
-        let schema = Schema::from_relations([("R", 2, 1), ("S", 2, 1)])
-            .unwrap()
-            .into_shared();
-        let mut db = UncertainDatabase::new(schema);
-        db.insert_values("R", ["a", "1"]).unwrap();
-        db.insert_values("S", ["b", "1"]).unwrap();
-        let index = db.index();
-        let s = db.schema().relation_id("S").unwrap();
-        let key = index.position_index(s, PositionSet::single(0));
-        assert_eq!(key.candidates(&[Value::str("b")]), &[1]);
-        // A second alternative joins R's existing block: every fact after
-        // that block shifts by one id, including untouched S's.
-        db.insert_values("R", ["a", "2"]).unwrap();
-        let patched = db.index();
-        let key = patched.position_index(s, PositionSet::single(0));
-        assert_eq!(key.candidates(&[Value::str("b")]), &[2]);
-        assert_eq!(patched.fact(FactId(2)).value(0), &Value::str("b"));
-    }
-
-    #[test]
-    fn delta_patch_rerows_untouched_relations_when_blocks_reorder() {
-        // Blocks walk [R(a), S(x), S(y)]. Emptying R's block swap-removes
-        // it, moving S(y) to the front of the walk: untouched S's rows are
-        // PERMUTED, not shifted, so its cached columns and row-numbered
-        // code indexes must be re-rowed, not carried over.
-        let schema = Schema::from_relations([("R", 2, 1), ("S", 2, 1)])
-            .unwrap()
-            .into_shared();
-        let mut db = UncertainDatabase::new(schema);
-        db.insert_values("R", ["a", "1"]).unwrap();
-        db.insert_values("S", ["x", "1"]).unwrap();
-        db.insert_values("S", ["y", "2"]).unwrap();
-        let s = db.schema().relation_id("S").unwrap();
-        let warm = db.index();
-        let _ = warm.columnar();
-        let _ = warm.code_index(s, &[0]);
+    fn writes_patch_the_indexes_of_the_written_segment() {
+        let mut db = figure1();
         let r = db.schema().relation_id("R").unwrap();
-        assert!(db.remove_fact(&Fact::new(r, vec![Value::str("a"), Value::str("1")])));
-        let patched = db.index();
-        // New walk: S(y) took the detached block's slot, then S(x).
-        assert_eq!(patched.fact(FactId(0)).value(0), &Value::str("y"));
-        assert_eq!(patched.fact(FactId(1)).value(0), &Value::str("x"));
-        let columnar = patched.columnar();
-        let decode = |row: usize| {
-            columnar
-                .dictionary()
-                .value(columnar.relation(s).column(0)[row])
-        };
-        assert_eq!(decode(0), &Value::str("y"));
-        assert_eq!(decode(1), &Value::str("x"));
-        let code_index = patched.code_index(s, &[0]);
-        let y_code = columnar.dictionary().code_of(&Value::str("y")).unwrap();
-        assert_eq!(code_index.candidates(CodeIndex::pack(&[y_code])), &[0]);
+        let old = db.snapshot();
+        let by_rank = old.index().position_index(r, PositionSet::single(1));
+        let _ = old.index().statistics();
+        let _ = old.index().code_index(r, &[1]);
+        // R's facts by id: 0 (PODS, A), 1 (KDD, A), 2 (KDD, B).
+        db.insert_values("R", ["VLDB", "A"]).unwrap();
+        assert!(db.remove_fact(&Fact::new(r, vec![Value::str("PODS"), Value::str("A")])));
+        // The last fact, (VLDB, A), took over id 0.
+        let new = db.snapshot();
+        let index = new.index();
+        assert_eq!(index.fact(r, 0).value(0), &Value::str("VLDB"));
+        let patched = index.position_index(r, PositionSet::single(1));
+        assert!(!Arc::ptr_eq(&patched, &by_rank));
+        assert_eq!(patched.candidates(&[Value::str("A")]), &[0, 1]);
+        assert_eq!(by_rank.candidates(&[Value::str("A")]), &[0, 1]);
+        assert_eq!(index.statistics().relation(r).fact_count(), 3);
+        assert_eq!(index.statistics().relation(r).distinct_counts(), &[2, 2]);
+        let dict = index.columnar().dictionary();
+        let a = dict.code_of(&Value::str("A")).unwrap();
+        assert_eq!(
+            index.code_index(r, &[1]).candidates(CodeIndex::pack(&[a])),
+            &[0, 1]
+        );
+        let block = db.block_with_key(r, &[Value::str("VLDB")]).unwrap();
+        assert_eq!(block.len(), 1);
     }
 }

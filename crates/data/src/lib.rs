@@ -24,14 +24,16 @@
 //!   active domain,
 //! * [`RepairIter`] / [`UncertainDatabase::repairs`] — enumeration and
 //!   counting of repairs,
-//! * [`DatabaseIndex`] — a cached secondary-index snapshot (dense fact ids,
-//!   per-relation fact/block lists, hash indexes on arbitrary position
-//!   subsets) that turns the solvers' join steps into hash probes,
+//! * [`RelationSegment`] — one relation's blocks, relation-local fact ids,
+//!   statistics, position indexes and code columns, shared by `Arc` between
+//!   a database and its snapshots until a write copies it,
+//! * [`DatabaseIndex`] — the database's segments seen as an immutable
+//!   indexed view (hash indexes on arbitrary position subsets) that turns
+//!   the solvers' join steps into hash probes,
 //! * [`Snapshot`] — an owned, immutable, `Send + Sync` point-in-time view
 //!   (database + index + epoch) that the parallel layer shares across threads,
-//! * [`delta`] — the mutation log ([`ChangeSet`]) that lets
-//!   [`DatabaseIndex::apply_delta`] patch a cached snapshot instead of
-//!   rebuilding it,
+//! * [`delta`] — the change log ([`ChangeSet`]) incremental consumers such
+//!   as materialized views repair from,
 //! * [`store`] — a durable chunked, dictionary-encoded on-disk format
 //!   ([`store::save`] / [`store::load`]) so instances survive restarts,
 //! * small utilities shared by the rest of the workspace.
@@ -41,6 +43,7 @@
 
 mod block;
 pub mod columnar;
+mod cow;
 mod database;
 pub mod delta;
 mod error;
@@ -48,21 +51,21 @@ mod fact;
 pub mod index;
 mod repairs;
 mod schema;
+mod segment;
 mod snapshot;
 pub mod store;
 mod value;
 
-pub use block::{Block, BlockId};
+pub use block::Block;
 pub use columnar::{CodeIndex, Columnar, Dictionary, RelationColumns};
 pub use database::UncertainDatabase;
-pub use delta::{ChangeSet, Delta, DEFAULT_DELTA_THRESHOLD};
+pub use delta::{ChangeSet, Delta};
 pub use error::DataError;
 pub use fact::Fact;
-pub use index::{
-    DatabaseIndex, FactId, PositionIndex, PositionSet, RelationStatistics, Statistics,
-};
+pub use index::{DatabaseIndex, PositionSet, Statistics};
 pub use repairs::{RepairIter, RepairSampler};
 pub use schema::{Relation, RelationId, Schema, Signature};
+pub use segment::{PositionIndex, RelationSegment, RelationStatistics};
 pub use snapshot::Snapshot;
 pub use store::{StoreError, StoreSummary};
 pub use value::Value;

@@ -6,8 +6,9 @@
 //! facts, the same blocks, and the same [`DatabaseIndex`] — and they run on
 //! worker threads that outlive any `&UncertainDatabase` borrow a caller
 //! could offer. A [`Snapshot`] packages an owned copy of the database
-//! together with its index snapshot behind `Arc`s: cloning is two reference
-//! counts, the contents can never change, and every clone is `Send + Sync`.
+//! together with its index behind `Arc`s: taking or cloning one costs a
+//! few reference counts, the contents can never change, and every clone is
+//! `Send + Sync`.
 
 use crate::{DatabaseIndex, Schema, UncertainDatabase};
 use std::fmt;
@@ -40,16 +41,13 @@ pub struct Snapshot {
 }
 
 impl Snapshot {
-    /// Freezes `db` into a snapshot. The database's cached index is reused
-    /// when warm, so snapshotting an already-indexed database copies the
-    /// fact storage but not the index.
+    /// Freezes `db` into a snapshot, sharing its storage.
     pub fn new(db: &UncertainDatabase) -> Snapshot {
-        let index = db.index();
         Snapshot {
-            // The clone shares the (just-warmed) cached index, so
-            // `self.db.index()` and `self.index` stay the same allocation.
+            // The clone shares the index, so `self.db.index()` and
+            // `self.index` are the same allocation.
             db: Arc::new(db.clone()),
-            index,
+            index: db.index(),
             epoch: db.epoch(),
         }
     }

@@ -1,10 +1,10 @@
 //! Durable storage: a chunked, dictionary-encoded on-disk format for
 //! [`UncertainDatabase`] instances.
 //!
-//! The format reuses the coding of the in-memory [`Columnar`] view: all
-//! values are collected into one sorted dictionary and every fact position
-//! becomes a column of dense `u32` codes, written in fixed-size chunks. A
-//! database therefore serializes as
+//! All live values are collected into one sorted dictionary (the active
+//! domain) and every fact position becomes a column of dense `u32` codes —
+//! positions in that dictionary — written in fixed-size chunks. A database
+//! therefore serializes as
 //!
 //! ```text
 //! ┌──────────────────────────────────────────────────────────────────┐
@@ -25,14 +25,11 @@
 //! └──────────────────────────────────────────────────────────────────┘
 //! ```
 //!
-//! All integers are little-endian. Rows follow
-//! [`DatabaseIndex::relation_fact_ids`](crate::DatabaseIndex::relation_fact_ids)
-//! order, and [`load`] re-inserts them relation by relation in that order —
-//! which makes `save ∘ load` byte-stable: saving a just-loaded database
+//! All integers are little-endian. Rows follow each relation's local fact
+//! ids, and [`load`] re-inserts them relation by relation in that order — which
+//! makes `save ∘ load` byte-stable: saving a just-loaded database
 //! reproduces the input file exactly (the property the format-pinning
 //! fixture test relies on).
-//!
-//! [`Columnar`]: crate::Columnar
 
 use crate::{DataError, Schema, UncertainDatabase, Value};
 use std::fmt;
@@ -183,8 +180,18 @@ fn put_value(out: &mut Vec<u8>, value: &Value) {
 /// Serializes `db` into the store format, in memory.
 pub fn save_to_vec(db: &UncertainDatabase) -> Vec<u8> {
     let index = db.index();
+    let dictionary = index.active_domain();
+    // The in-memory codes are append-only; the file's are positions in the
+    // sorted live dictionary.
     let columnar = index.columnar();
-    let dictionary = columnar.dictionary_values();
+    let mut sorted = vec![0u32; columnar.dictionary().len()];
+    for (position, value) in dictionary.iter().enumerate() {
+        let code = columnar
+            .dictionary()
+            .code_of(value)
+            .expect("live values are coded");
+        sorted[code as usize] = position as u32;
+    }
 
     let mut out = Vec::with_capacity(64 + db.fact_count() * 16);
     out.extend_from_slice(MAGIC);
@@ -210,10 +217,10 @@ pub fn save_to_vec(db: &UncertainDatabase) -> Vec<u8> {
         let columns = columnar.relation(rel);
         put_u64(&mut out, columns.row_count() as u64);
         for pos in 0..relation.arity() {
-            for chunk in columns.column(pos).chunks(CHUNK.max(1)) {
+            for chunk in columns.column(pos).chunks(CHUNK) {
                 put_u32(&mut out, chunk.len() as u32);
                 for &code in chunk {
-                    put_u32(&mut out, code);
+                    put_u32(&mut out, sorted[code as usize]);
                 }
             }
         }
@@ -235,7 +242,7 @@ pub fn save(db: &UncertainDatabase, path: impl AsRef<Path>) -> Result<StoreSumma
     Ok(StoreSummary {
         relations: db.schema().len(),
         facts: db.fact_count(),
-        dictionary: db.index().columnar().dictionary().len(),
+        dictionary: db.index().active_domain().len(),
         bytes: bytes.len() as u64,
     })
 }

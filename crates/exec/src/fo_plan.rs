@@ -34,8 +34,8 @@
 use crate::cost::CostModel;
 use crate::probe::{KeySource, ProbeSpec, Registers, Slot, SlotState};
 use cqa_data::{
-    DatabaseIndex, FactId, PositionIndex, PositionSet, RelationId, Schema, Statistics,
-    UncertainDatabase, Value,
+    DatabaseIndex, PositionIndex, PositionSet, RelationId, Schema, Statistics, UncertainDatabase,
+    Value,
 };
 use cqa_obs::TraceSink;
 use cqa_query::fo_formula::FoFormula;
@@ -1120,10 +1120,11 @@ impl PreparedFo<'_> {
             let mut found = false;
             let mut scanned = 0u64;
             let mut unified = 0u64;
+            let segment = self.index.segment(spec.relation);
             for &fid in &ids[lo..hi] {
                 regs.undo(&mut writes);
                 scanned += 1;
-                let fact = self.index.fact(FactId::from_index(fid as usize));
+                let fact = segment.fact(fid);
                 if spec.apply(fact, &mut regs, &mut writes) {
                     unified += 1;
                     if self.eval_op(body, &mut regs) {
@@ -1167,9 +1168,10 @@ impl PreparedFo<'_> {
                 let mut no_writes = Vec::new();
                 let mut scanned = 0u64;
                 let mut hit = false;
+                let segment = self.index.segment(spec.relation);
                 for &fid in candidates.ids() {
                     scanned += 1;
-                    let fact = self.index.fact(FactId::from_index(fid as usize));
+                    let fact = segment.fact(fid);
                     if spec.apply(fact, regs, &mut no_writes) {
                         hit = true;
                         break;
@@ -1197,10 +1199,11 @@ impl PreparedFo<'_> {
                 let mut found = false;
                 let mut scanned = 0u64;
                 let mut unified = 0u64;
+                let segment = self.index.segment(spec.relation);
                 for &fid in candidates.ids() {
                     regs.undo(&mut writes);
                     scanned += 1;
-                    let fact = self.index.fact(FactId::from_index(fid as usize));
+                    let fact = segment.fact(fid);
                     if spec.apply(fact, regs, &mut writes) {
                         unified += 1;
                         if self.eval_op(body, regs) {
@@ -1226,10 +1229,11 @@ impl PreparedFo<'_> {
                 let mut holds = true;
                 let mut scanned = 0u64;
                 let mut unified = 0u64;
+                let segment = self.index.segment(spec.relation);
                 for &fid in candidates.ids() {
                     regs.undo(&mut writes);
                     scanned += 1;
-                    let fact = self.index.fact(FactId::from_index(fid as usize));
+                    let fact = segment.fact(fid);
                     // A candidate the guard does not unify with (repeated-
                     // variable mismatch) corresponds to no assignment:
                     // vacuous, skip.

@@ -14,9 +14,7 @@
 
 use crate::cost::CostModel;
 use crate::probe::{ProbeSpec, Registers, Slot, SlotState};
-use cqa_data::{
-    DatabaseIndex, FactId, PositionIndex, Schema, Statistics, UncertainDatabase, Value,
-};
+use cqa_data::{DatabaseIndex, PositionIndex, Schema, Statistics, UncertainDatabase, Value};
 use cqa_obs::TraceSink;
 use cqa_query::{AtomId, ConjunctiveQuery, Valuation, Variable};
 use rustc_hash::FxHashMap;
@@ -529,10 +527,11 @@ impl PreparedQuery<'_> {
         let mut found = false;
         let mut scanned = 0u64;
         let mut unified = 0u64;
+        let segment = self.index.segment(step.spec.relation);
         for &fid in &ids[lo..hi] {
             regs.undo(&mut writes);
             scanned += 1;
-            let fact = self.index.fact(FactId::from_index(fid as usize));
+            let fact = segment.fact(fid);
             if step.spec.apply(fact, regs, &mut writes) {
                 unified += 1;
                 if self.search(1, regs, on_match) {
@@ -584,10 +583,11 @@ impl PreparedQuery<'_> {
         let mut found = false;
         let mut scanned = 0u64;
         let mut unified = 0u64;
+        let segment = self.index.segment(spec.relation);
         for &fid in candidates.ids() {
             regs.undo(&mut writes);
             scanned += 1;
-            let fact = self.index.fact(FactId::from_index(fid as usize));
+            let fact = segment.fact(fid);
             if spec.apply(fact, regs, &mut writes) {
                 unified += 1;
                 if self.search(depth + 1, regs, on_match) {

@@ -905,17 +905,6 @@ pub(crate) fn eval_sentence(prepared: &PreparedFo<'_>) -> bool {
     !ctx.eval(&vec_fo.root, &batch, vec![0]).is_empty()
 }
 
-/// Maps ascending fact ids of one relation to their dense row indices.
-fn rows_of_fids(index: &DatabaseIndex, relation: RelationId, fids: &[u32]) -> Vec<u32> {
-    let all = index.relation_fact_ids(relation);
-    fids.iter()
-        .map(|fid| {
-            all.binary_search(fid)
-                .expect("candidate fact ids come from the relation") as u32
-        })
-        .collect()
-}
-
 /// Vectorized root-sharded sentence evaluation. The shard is an index range
 /// into the *row engine's* root candidate list (a `PositionIndex` bucket),
 /// so partitions recombine identically on both paths.
@@ -946,14 +935,14 @@ pub(crate) fn eval_root_shard(prepared: &PreparedFo<'_>, shard: Range<usize>) ->
         columnar: prepared.index.columnar(),
     };
     let parent = Batch::unbound(prepared.plan.slots.len());
-    for chunk in ids[lo..hi].chunks(ROOT_CHUNK) {
-        let rows = rows_of_fids(&prepared.index, probe.relation, chunk);
+    // Local fact ids are the relation's column rows.
+    for rows in ids[lo..hi].chunks(ROOT_CHUNK) {
         let batch = expand(
             probe,
             &parent,
             &[0],
             ctx.columnar,
-            Some(&rows),
+            Some(rows),
             ctx.trace_cell(probe.probe_id),
         );
         if batch.len == 0 {
@@ -1062,14 +1051,13 @@ pub(crate) fn query_answers(
     let dict = columnar.dictionary();
     let trace_cell = |i: usize| prepared.trace.as_deref().map(|sink| sink.op(i));
     let parent = Batch::unbound(plan.slots.len());
-    for chunk in ids[lo..hi].chunks(ROOT_CHUNK) {
-        let rows = rows_of_fids(&prepared.index, step.spec.relation, chunk);
+    for rows in ids[lo..hi].chunks(ROOT_CHUNK) {
         let mut batch = expand(
             &prepared.vec_steps[0],
             &parent,
             &[0],
             columnar,
-            Some(&rows),
+            Some(rows),
             trace_cell(0),
         );
         for (i, probe) in prepared.vec_steps[1..].iter().enumerate() {

@@ -24,7 +24,7 @@
 //! fixed up front.
 
 use crate::{Atom, ConjunctiveQuery, Term, Valuation};
-use cqa_data::{DatabaseIndex, FactId, PositionSet, UncertainDatabase, Value};
+use cqa_data::{DatabaseIndex, PositionSet, UncertainDatabase, Value};
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
@@ -112,8 +112,9 @@ where
     let atom = query.atom(aid);
     let schema = query.schema();
     let mut found = false;
+    let segment = index.segment(atom.relation());
     for &fid in candidates.ids(index, atom) {
-        let fact = index.fact(FactId::from_index(fid as usize));
+        let fact = segment.fact(fid);
         if let Some(extended) = current.unify_with_fact(atom, fact, schema) {
             if search(index, query, remaining, &extended, on_match) {
                 found = true;

@@ -16,10 +16,11 @@
 //!   observes.
 //! * **Writers** ([`EpochManager::apply_write`]) serialize on the master
 //!   mutex, mutate the database while recording the exact [`ChangeSet`],
-//!   freeze the next snapshot — flushing the delta log through the
-//!   incremental index patcher — repair every registered view from the
-//!   changeset ([`ViewMaintainer::repair`]), fork the next engine with
-//!   [`BatchEngine::with_snapshot`], and swap the published pair. Old
+//!   freeze the next snapshot — which shares every relation segment the
+//!   write did not touch with the previous epoch (counted per publish as
+//!   `serve.segments.{rebuilt,shared}`) — repair every registered view
+//!   from the changeset ([`ViewMaintainer::repair`]), fork the next engine
+//!   with [`BatchEngine::with_snapshot`], and swap the published pair. Old
 //!   epochs die when their last in-flight reader drops its `Arc`; until
 //!   then they are counted by the `serve.epochs.pinned` gauge.
 //!
@@ -207,10 +208,17 @@ impl EpochManager {
             });
         }
         cqa_obs::count!("serve.writes_effective");
-        // Freezing the snapshot flushes the pending delta log through the
-        // incremental index patcher (rebuild past CQA_DELTA_THRESHOLD).
         let snapshot = master.db.snapshot();
         let epoch = snapshot.epoch();
+        let previous = self.current();
+        let shared = snapshot
+            .index()
+            .shared_segments(previous.snapshot().index());
+        cqa_obs::count!("serve.segments.shared", shared);
+        cqa_obs::count!(
+            "serve.segments.rebuilt",
+            snapshot.index().relation_count() - shared
+        );
         let mut readings = FxHashMap::default();
         for (name, view) in master.views.iter_mut() {
             // A repair error is unreachable for a validated query; if it
@@ -222,15 +230,20 @@ impl EpochManager {
             }
             readings.insert(name.clone(), Arc::new(render_reading(view)));
         }
-        let next = Arc::new(self.current().with_snapshot(snapshot));
-        {
+        let next = Arc::new(previous.with_snapshot(snapshot));
+        let old = {
             let mut current = self.current.write().unwrap_or_else(PoisonError::into_inner);
-            let old = std::mem::replace(&mut current.engine, next);
-            current.views = Arc::new(readings);
+            let engine = std::mem::replace(&mut current.engine, next);
+            let views = std::mem::replace(&mut current.views, Arc::new(readings));
             let mut history = self.history.lock().unwrap_or_else(PoisonError::into_inner);
             history.retain(|weak| weak.strong_count() > 0);
-            history.push(Arc::downgrade(&old));
-        }
+            history.push(Arc::downgrade(&engine));
+            (engine, views)
+        };
+        drop(master);
+        // Free the previous epoch after both guards are released, so a
+        // reader's `current()` never waits on the free.
+        drop((old, previous));
         cqa_obs::count!("serve.epochs_published");
         Ok(WriteOutcome {
             changed: true,

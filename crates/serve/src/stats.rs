@@ -30,6 +30,8 @@ pub fn stats_line(
             )
         })
         .unwrap_or((0.0, 0.0));
+    let publishes = snapshot.counter("serve.epochs_published").max(1) as f64;
+    let per_publish = |name: &str| snapshot.counter(name) as f64 / publishes;
     let rate = |prefix: &str| {
         snapshot
             .hit_rate(prefix)
@@ -40,13 +42,13 @@ pub fn stats_line(
          p50 {p50:.3} ms, p99 {p99:.3} ms, \
          plan-cache {}, engine-cache {}, steals {}, epoch {}, \
          views {views}, pinned epochs {pinned}, \
-         index deltas {} applied / {} rebuilt",
+         segments per publish {:.1} rebuilt / {:.1} shared",
         rate("exec.plan_cache"),
         rate("par.batch.engine"),
         engine.pool().steals(),
         engine.epoch(),
-        snapshot.counter("data.index.delta_applied"),
-        snapshot.counter("data.index.delta_fallback_rebuild"),
+        per_publish("serve.segments.rebuilt"),
+        per_publish("serve.segments.shared"),
     )
 }
 

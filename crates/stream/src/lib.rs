@@ -20,15 +20,14 @@
 //!   folded into one relation-wide entry so provenance stays O(1) per atom
 //!   — with reverse indexes from block key and relation to dependent
 //!   candidates.
-//! * [`ViewMaintainer`] — consumes the `cqa_data` delta log
+//! * [`ViewMaintainer`] — consumes a `cqa_data` change log
 //!   ([`cqa_data::ChangeSet`]: fact inserts, fact removals, block removals)
 //!   and repairs the view **incrementally**: only candidates whose
 //!   provenance intersects the touched blocks are re-decided, new
 //!   candidates introduced by an inserted fact are discovered through a
 //!   compiled `cqa-exec` plan of the partially grounded query, and past a
-//!   damage threshold ([`view_threshold`], mirroring `CQA_DELTA_THRESHOLD`)
-//!   the maintainer falls back to the full re-evaluation it would otherwise
-//!   beat. When the damage is large and a [`cqa_par::ParPool`] is attached,
+//!   damage threshold ([`view_threshold`]) the maintainer falls back to the
+//!   full re-evaluation it would otherwise beat. When the damage is large and a [`cqa_par::ParPool`] is attached,
 //!   the retouched-candidate set is sharded across workers with a
 //!   deterministic in-order merge.
 //!

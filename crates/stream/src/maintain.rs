@@ -17,8 +17,7 @@ use std::time::Instant;
 /// Default damage threshold: repairs that would re-decide more candidates
 /// than this fall back to a full re-evaluation. Overridable per maintainer
 /// via [`ViewMaintainer::with_threshold`] and process-wide via the
-/// `CQA_VIEW_THRESHOLD` environment variable (mirroring
-/// `CQA_DELTA_THRESHOLD`, which plays the same role for index patching).
+/// `CQA_VIEW_THRESHOLD` environment variable.
 pub const DEFAULT_VIEW_THRESHOLD: usize = 256;
 
 /// The process-wide view damage threshold: `CQA_VIEW_THRESHOLD` when set

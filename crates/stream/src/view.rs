@@ -1,7 +1,7 @@
 //! The materialized view: decided answer sets plus block-level provenance.
 
 use cqa_core::answers::{AnswerSets, CertainAnswersEngine};
-use cqa_data::{Fact, FactId, PositionSet, RelationId, Schema, Snapshot, Value};
+use cqa_data::{Fact, PositionSet, RelationId, Schema, Snapshot, Value};
 use cqa_exec::ExecMode;
 use cqa_query::{ConjunctiveQuery, Term, Valuation, Variable};
 use rustc_hash::{FxHashMap, FxHashSet};
@@ -343,7 +343,7 @@ pub(crate) fn provenance_of(
                 .position_index(atom.relation(), bound)
                 .candidates_shared(&key);
             for &id in ids.iter() {
-                let fact = index.fact(FactId::from_index(id as usize));
+                let fact = index.fact(atom.relation(), id);
                 prov.blocks.insert(BlockKey::of(fact, schema));
             }
         }

@@ -13,7 +13,7 @@ use cqa::prob::eval::{probability_exact, probability_over_repairs};
 use cqa::prob::{is_safe, BidDatabase};
 use cqa::query::{catalog, eval, gyo, join_tree, purify};
 use proptest::prelude::*;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 /// Shared worker pools for the parallel-agreement suite: 1 thread (the
 /// degenerate case), 2, and 7 (odd, so remainder chunks are exercised).
@@ -447,16 +447,14 @@ proptest! {
     }
 }
 
-/// Materializes every cached derived structure on the database's current
-/// index snapshot — statistics, columnar view, active domain, and the
-/// key-prefix hash index of every relation — so that a later mutation has to
-/// delta-patch all of them rather than rebuild lazily.
-fn warm_index(db: &cqa_data::UncertainDatabase) {
-    let index = db.index();
+/// Materializes every derived structure on an index — statistics, columnar
+/// view, active domain, and the key-prefix hash index of every relation —
+/// so that the segments a later write copies have indexes to rebuild.
+fn warm_index(index: &cqa_data::DatabaseIndex, schema: &cqa_data::Schema) {
     let _ = index.statistics();
     let _ = index.columnar();
     let _ = index.active_domain();
-    for (rel, relation) in db.schema().iter() {
+    for (rel, relation) in schema.iter() {
         let _ = index.position_index(
             rel,
             cqa_data::PositionSet::from_positions(0..relation.key_len()),
@@ -464,22 +462,53 @@ fn warm_index(db: &cqa_data::UncertainDatabase) {
     }
 }
 
+/// The facts of `ids` in `index`'s segment of `relation`, as a set.
+fn fact_set(
+    index: &cqa_data::DatabaseIndex,
+    relation: cqa_data::RelationId,
+    ids: &[u32],
+) -> std::collections::BTreeSet<cqa_data::Fact> {
+    ids.iter()
+        .map(|&id| index.fact(relation, id).clone())
+        .collect()
+}
+
+/// The rows of one relation's code columns, decoded, as a sorted multiset.
+fn decoded_rows(
+    index: &cqa_data::DatabaseIndex,
+    relation: cqa_data::RelationId,
+    arity: usize,
+) -> Vec<Vec<cqa_data::Value>> {
+    let columnar = index.columnar();
+    let columns = columnar.relation(relation);
+    let mut rows: Vec<Vec<cqa_data::Value>> = (0..columns.row_count())
+        .map(|row| {
+            (0..arity)
+                .map(|p| columnar.dictionary().value(columns.column(p)[row]).clone())
+                .collect()
+        })
+        .collect();
+    rows.sort();
+    rows
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// Delta maintenance and persistence, end to end: a random interleaving
-    /// of inserts (fresh and duplicate), fact removals (present and absent)
-    /// and block removals is applied to two copies of a generated database —
-    /// one refreshing its index through the delta-patch path, one with the
-    /// delta threshold forced to 0 so every refresh is a from-scratch
-    /// rebuild. The patched index must match the rebuilt one exactly (fact
-    /// ids, block assignment, per-relation id lists, hash-index buckets,
-    /// statistics, active domain), no-op mutations must leave the epoch and
-    /// the delta log untouched, and saving the mutated database to the store
-    /// format must round-trip byte-stably with identical certain answers
-    /// across every [`ExecMode`].
+    /// Segment maintenance and persistence, end to end: a random
+    /// interleaving of inserts (fresh and duplicate), fact removals (present
+    /// and absent) and block removals is applied to a generated database,
+    /// freezing a snapshot after every step. Each effective write must copy
+    /// only the segment of the relation it touched (every other segment is
+    /// the previous snapshot's allocation), and a no-op write must copy
+    /// nothing and leave the epoch alone. At the end the written index must
+    /// match a from-scratch build of the same facts — hash-index buckets as
+    /// fact sets, statistics and active domain exactly, decoded code columns
+    /// as multisets — and saving the written database to the store format
+    /// must round-trip byte-stably with identical certain answers across
+    /// every [`ExecMode`].
     #[test]
-    fn delta_patched_index_matches_rebuild_and_store_round_trips(
+    fn written_index_matches_rebuild_and_store_round_trips(
         seed in 0u64..100_000, which in 0usize..3
     ) {
         let (q, name) = match which {
@@ -494,10 +523,9 @@ proptest! {
             extra_block_facts: (seed % 3) as usize,
             alternative_join_probability: 0.6,
         }).generate();
-        let mut rebuilt = db.clone();
-        rebuilt.set_delta_threshold(Some(0));
-        warm_index(&db);
-        warm_index(&rebuilt);
+        let schema = db.schema().clone();
+        let mut previous = db.snapshot();
+        warm_index(previous.index(), &schema);
 
         let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(which as u64) | 1;
         let mut next = move || {
@@ -514,115 +542,96 @@ proptest! {
             }
             let donor = facts[(next() as usize) % facts.len()].clone();
             let last = donor.values().len() - 1;
-            match next() % 6 {
+            let epoch = db.epoch();
+            let effective = match next() % 6 {
                 0 | 1 => {
                     // Fresh fact: the donor's tuple with a new last value —
                     // joins the donor's block (or opens a new one) and grows
                     // the dictionary and active domain.
                     let mut values = donor.values().to_vec();
                     values[last] = cqa_data::Value::str(format!("fresh-{step}-{}", next() % 5));
-                    let fact = cqa_data::Fact::new(donor.relation(), values);
-                    let patched_new = db.insert(fact.clone()).unwrap();
-                    let rebuilt_new = rebuilt.insert(fact).unwrap();
-                    prop_assert_eq!(patched_new, rebuilt_new,
-                        "insert divergence, {} seed {} step {}", name, seed, step);
+                    db.insert(cqa_data::Fact::new(donor.relation(), values)).unwrap()
                 }
                 2 => {
-                    // Duplicate insert: a no-op that must not touch the
-                    // epoch or the pending delta log.
-                    let (epoch, pending) = (db.epoch(), db.pending_delta_len());
                     prop_assert!(!db.insert(donor.clone()).unwrap(),
                         "duplicate insert reported new, {} seed {}", name, seed);
-                    prop_assert!(!rebuilt.insert(donor).unwrap(),
-                        "duplicate insert reported new (rebuilt), {} seed {}", name, seed);
-                    prop_assert_eq!(db.epoch(), epoch,
-                        "no-op insert bumped the epoch, {} seed {}", name, seed);
-                    prop_assert_eq!(db.pending_delta_len(), pending,
-                        "no-op insert logged a delta, {} seed {}", name, seed);
+                    false
                 }
                 3 => {
                     prop_assert!(db.remove_fact(&donor),
                         "present fact did not remove, {} seed {}", name, seed);
-                    prop_assert!(rebuilt.remove_fact(&donor),
-                        "present fact did not remove (rebuilt), {} seed {}", name, seed);
+                    true
                 }
                 4 => {
                     prop_assert!(db.remove_block_of(&donor),
                         "present block did not remove, {} seed {}", name, seed);
-                    prop_assert!(rebuilt.remove_block_of(&donor),
-                        "present block did not remove (rebuilt), {} seed {}", name, seed);
+                    true
                 }
                 _ => {
-                    // Removing an absent fact: a no-op that must not touch
-                    // the epoch or the pending delta log.
                     let mut values = donor.values().to_vec();
                     values[last] = cqa_data::Value::str("absent-probe");
                     let ghost = cqa_data::Fact::new(donor.relation(), values);
-                    let (epoch, pending) = (db.epoch(), db.pending_delta_len());
                     prop_assert!(!db.remove_fact(&ghost),
                         "absent fact removed, {} seed {}", name, seed);
-                    prop_assert!(!rebuilt.remove_fact(&ghost),
-                        "absent fact removed (rebuilt), {} seed {}", name, seed);
-                    prop_assert_eq!(db.epoch(), epoch,
-                        "no-op removal bumped the epoch, {} seed {}", name, seed);
-                    prop_assert_eq!(db.pending_delta_len(), pending,
-                        "no-op removal logged a delta, {} seed {}", name, seed);
+                    false
                 }
+            };
+            let snapshot = db.snapshot();
+            let (now, before) = (snapshot.index(), previous.index());
+            if effective {
+                prop_assert_eq!(db.epoch(), epoch + 1,
+                    "effective write did not bump the epoch, {} seed {}", name, seed);
+                for (rel, relation) in schema.iter() {
+                    let shared = Arc::ptr_eq(now.segment(rel), before.segment(rel));
+                    prop_assert_eq!(shared, rel != donor.relation(),
+                        "segment of {} shared: {}, {} seed {} step {}",
+                        relation.name, shared, name, seed, step);
+                }
+            } else {
+                prop_assert_eq!(db.epoch(), epoch,
+                    "no-op write bumped the epoch, {} seed {}", name, seed);
+                prop_assert_eq!(now.shared_segments(before), schema.len(),
+                    "no-op write copied a segment, {} seed {}", name, seed);
             }
+            previous = snapshot;
             if next() % 2 == 0 {
-                // Flush the pending deltas into a patched snapshot now and
-                // then, so later mutations chain patch-on-patch.
-                warm_index(&db);
+                warm_index(previous.index(), &schema);
             }
         }
 
-        // The delta-patched index must equal the from-scratch rebuild
-        // structure by structure.
-        warm_index(&db);
-        warm_index(&rebuilt);
-        let patched = db.index();
+        // The written index must equal a from-scratch build of the same
+        // facts, compared independently of fact ids.
+        warm_index(previous.index(), &schema);
+        let rebuilt = cqa_data::UncertainDatabase::from_facts(schema.clone(), db.sorted_facts())
+            .unwrap();
+        let written = db.index();
         let reference = rebuilt.index();
-        prop_assert_eq!(patched.fact_count(), reference.fact_count(),
+        prop_assert_eq!(written.fact_count(), reference.fact_count(),
             "fact count, {} seed {}", name, seed);
-        for i in 0..patched.fact_count() {
-            let id = cqa_data::FactId::from_index(i);
-            prop_assert_eq!(patched.fact(id), reference.fact(id),
-                "fact id {} diverged, {} seed {}", i, name, seed);
-            prop_assert_eq!(patched.block_of(id), reference.block_of(id),
-                "block of fact {} diverged, {} seed {}", i, name, seed);
-        }
-        prop_assert_eq!(patched.active_domain(), reference.active_domain(),
+        prop_assert_eq!(written.active_domain(), reference.active_domain(),
             "active domain, {} seed {}", name, seed);
-        prop_assert_eq!(patched.statistics(), reference.statistics(),
+        prop_assert_eq!(written.statistics(), reference.statistics(),
             "statistics, {} seed {}", name, seed);
-        for (rel, relation) in db.schema().iter() {
+        for (rel, relation) in schema.iter() {
             prop_assert_eq!(
-                patched.relation_fact_ids(rel), reference.relation_fact_ids(rel),
-                "fact ids of {}, {} seed {}", relation.name, name, seed);
-            prop_assert_eq!(
-                patched.relation_block_ids(rel), reference.relation_block_ids(rel),
-                "block ids of {}, {} seed {}", relation.name, name, seed);
+                fact_set(&written, rel, written.relation_fact_ids(rel)),
+                fact_set(&reference, rel, reference.relation_fact_ids(rel)),
+                "facts of {}, {} seed {}", relation.name, name, seed);
             let posbits = cqa_data::PositionSet::from_positions(0..relation.key_len());
-            let a = patched.position_index(rel, posbits);
+            let a = written.position_index(rel, posbits);
             let b = reference.position_index(rel, posbits);
             prop_assert_eq!(a.key_count(), b.key_count(),
                 "key count of {}, {} seed {}", relation.name, name, seed);
             for key in b.keys() {
-                prop_assert_eq!(a.candidates(key), b.candidates(key),
+                prop_assert_eq!(
+                    fact_set(&written, rel, a.candidates(key)),
+                    fact_set(&reference, rel, b.candidates(key)),
                     "bucket {:?} of {}, {} seed {}", key, relation.name, name, seed);
             }
-            // The columnar view may assign dictionary codes in a different
-            // order after patching; compare the decoded cells instead.
-            let (ca, cb) = (patched.columnar(), reference.columnar());
-            let (ra, rb) = (ca.relation(rel), cb.relation(rel));
-            prop_assert_eq!(ra.row_count(), rb.row_count(),
-                "columnar rows of {}, {} seed {}", relation.name, name, seed);
-            for p in 0..relation.arity() {
-                for (x, y) in ra.column(p).iter().zip(rb.column(p)) {
-                    prop_assert_eq!(ca.dictionary().value(*x), cb.dictionary().value(*y),
-                        "columnar cell of {}, {} seed {}", relation.name, name, seed);
-                }
-            }
+            prop_assert_eq!(
+                decoded_rows(&written, rel, relation.arity()),
+                decoded_rows(&reference, rel, relation.arity()),
+                "code columns of {}, {} seed {}", relation.name, name, seed);
         }
 
         // Persistence: the mutated database must survive a save → load
@@ -643,13 +652,13 @@ proptest! {
         for mode in [ExecMode::RowAtATime, ExecMode::Vectorized, ExecMode::Auto] {
             prop_assert_eq!(
                 fo_plan.prepare(&loaded_index).with_mode(mode).eval(),
-                fo_plan.prepare(&patched).with_mode(mode).eval(),
+                fo_plan.prepare(&written).with_mode(mode).eval(),
                 "verdict after reload {:?}, {} seed {}", mode, name, seed);
             let engine = CertainAnswersEngine::new(&free_q).unwrap().with_mode(mode);
-            let on_patched = engine.certain_of(&db, &candidates).unwrap();
-            prop_assert_eq!(&engine.certain_of(&rebuilt, &candidates).unwrap(), &on_patched,
-                "certain answers patched vs rebuilt {:?}, {} seed {}", mode, name, seed);
-            prop_assert_eq!(&engine.certain_of(&loaded, &candidates).unwrap(), &on_patched,
+            let on_written = engine.certain_of(&db, &candidates).unwrap();
+            prop_assert_eq!(&engine.certain_of(&rebuilt, &candidates).unwrap(), &on_written,
+                "certain answers written vs rebuilt {:?}, {} seed {}", mode, name, seed);
+            prop_assert_eq!(&engine.certain_of(&loaded, &candidates).unwrap(), &on_written,
                 "certain answers after reload {:?}, {} seed {}", mode, name, seed);
         }
     }
